@@ -8,13 +8,13 @@ import math
 import sys
 from pathlib import Path
 
-from .graph import (GraphFormatError, Interval, NormalizationConfig,
-                    aggregate, load)
+from .graph import (GraphFormatError, Interval, NormalizationConfig, eta,
+                    load)
 from .driver import RunConfig, detect, estimate_initial, sweep_open_intervals
 from .oracle import InstanceTooLargeError, brute_force_best
 from .pruning import Pruner, build_groups, precompute
 from .refine import WalkConvergenceError
-from .spectral import EigenSolveError, cheeger_lower_bound, lambda2
+from .spectral import EigenSolveError, interval_lambda2
 from .synth import SynthConfig, generate
 from .tlsh import composite_collision_count, weighted_jaccard
 
@@ -102,8 +102,7 @@ def cmd_prune(args) -> int:
     phi_star = args.phi_star
     if phi_star is None:
         phi_star, _, _ = estimate_initial(g, bt, cfg)
-    pruner = Pruner(bt, build_groups(g.T, cfg.beta), cfg.norm(),
-                    tol=cfg.eig_tol)
+    pruner = Pruner(bt, build_groups(g.T, cfg.beta), cfg.norm())
     verdicts, phi_star = pruner.judge(
         phi_star, on_open=sweep_open_intervals(g, cfg.norm()))
     print(f"verdicts judged against phi_star={phi_star:.12g}", file=sys.stderr)
@@ -120,9 +119,8 @@ def cmd_bounds(args) -> int:
     for t in range(g.T):
         for t2 in range(t, g.T):
             iv = Interval(t, t2)
-            ag = aggregate(g, iv)
-            lam = lambda2(ag).lambda2
-            print(f"{t},{t2},{lam:.12g},{cheeger_lower_bound(ag, norm):.12g}")
+            lam = interval_lambda2(g, iv).lambda2
+            print(f"{t},{t2},{lam:.12g},{eta(iv, norm) * lam / 2.0:.12g}")
     return 0
 
 

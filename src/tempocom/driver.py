@@ -16,7 +16,7 @@ from .pruning import (BoundsTable, PruneVerdict, Pruner, STATUS_PROBED,
                       STATUS_UNPRUNED, build_groups, precompute)
 from .refine import (WalkParams, fiedler_sweep, refine_bucket, rwr_scores,
                      sweep)
-from .spectral import DEFAULT_TOL, EigResult
+from .spectral import EigResult
 from .tlsh import hash_all, scale_ladder
 
 ESTIMATE_ROWS = 2
@@ -34,11 +34,7 @@ class RunConfig:
     probes: int = 5
     seed: int = 0
     threads: int = 1
-    # Lanczos tolerance; graphs of up to spectral.DENSE_MAX_NODES nodes are
-    # solved by dense LAPACK and do not use it
-    eig_tol: float = DEFAULT_TOL
     walk: WalkParams = WalkParams()
-    use_groups: bool = True
     min_entries: int = 2
     span_cap: float = 2.0
 
@@ -182,7 +178,7 @@ def detect(g: TemporalGraph, cfg: RunConfig) -> DetectionState:
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    bt = precompute(g, cfg.scale_base, cfg.eig_tol, threads=cfg.threads)
+    bt = precompute(g, cfg.scale_base, threads=cfg.threads)
     timings["precompute"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -194,8 +190,7 @@ def detect(g: TemporalGraph, cfg: RunConfig) -> DetectionState:
         _add_candidate(results, cand)
 
     t0 = time.perf_counter()
-    pruner = Pruner(bt, build_groups(g.T, cfg.beta), norm,
-                    use_groups=cfg.use_groups, tol=cfg.eig_tol)
+    pruner = Pruner(bt, build_groups(g.T, cfg.beta), norm)
     judged = phi_star > 0
     if judged:
         verdicts, phi_star = pruner.judge(

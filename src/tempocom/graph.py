@@ -279,6 +279,7 @@ def load(path) -> TemporalGraph:
     """
     header = None
     records = []
+    total = 0.0
     labels: list[str] = []
     index: dict[str, int] = {}
 
@@ -324,6 +325,13 @@ def load(path) -> TemporalGraph:
                     f"line {lineno}: timestamp {t} outside [0, {timeline - 1}]")
             if not (w > 0):
                 raise GraphFormatError(f"line {lineno}: non-positive weight {w}")
+            # every merged weight, aggregate and volume is at most twice the
+            # total, so a finite doubled total keeps the solvers finite
+            total += w
+            if math.isinf(2.0 * total):
+                raise GraphFormatError(
+                    f"line {lineno}: weight {parts[3]} takes the total "
+                    "volume past the float range")
             u = node_id(parts[0], lineno, n_nodes)
             v = node_id(parts[1], lineno, n_nodes)
             records.append((u, v, t, w))

@@ -10,8 +10,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .graph import Interval, NormalizationConfig, TemporalGraph, eta
-from .spectral import (DEFAULT_TOL, EigResult, EigenSolveError,
-                       interval_lambda2)
+from .spectral import EigResult, EigenSolveError, interval_lambda2
 
 STATUS_GROUP_PRUNED = "group-pruned"
 STATUS_COMPOSITE_PRUNED = "composite-pruned"
@@ -111,8 +110,7 @@ class BoundsTable:
         return out
 
 
-def precompute(g: TemporalGraph, l: int = 2, tol: float = DEFAULT_TOL,
-               threads: int = 1) -> BoundsTable:
+def precompute(g: TemporalGraph, l: int = 2, threads: int = 1) -> BoundsTable:
     """Eigensolve all aligned blocks at scales l**i (O(T) solves total).
 
     Blocks whose eigensolve fails are kept as unusable entries; composite
@@ -131,7 +129,7 @@ def precompute(g: TemporalGraph, l: int = 2, tol: float = DEFAULT_TOL,
 
     def solve(block: Interval) -> Optional[EigResult]:
         try:
-            return interval_lambda2(g, block, tol)
+            return interval_lambda2(g, block)
         except EigenSolveError:
             return None
 
@@ -143,6 +141,25 @@ def precompute(g: TemporalGraph, l: int = 2, tol: float = DEFAULT_TOL,
     return BoundsTable(g, l, dict(zip(blocks, results)))
 
 
+def _block_sum(bt: BoundsTable, blocks: Interval, volumes: Interval) -> float:
+    """Sum over the decomposition of ``blocks`` of each block's lambda2
+    times its min node-volume ratio against ``volumes``, over the nodes of
+    positive volume in ``volumes``."""
+    vol = bt.node_volumes(volumes.start, volumes.end)
+    active = vol > 0
+    if not active.any():
+        return 0.0
+    inv = 1.0 / vol[active]
+    total = 0.0
+    for block in bt.decompose(blocks):
+        lam = bt.block_lambda2(block)
+        if lam <= 0.0:
+            continue
+        ratios = bt.block_volumes(block)[active] * inv
+        total += float(ratios.min()) * lam
+    return total
+
+
 def composite_lambda2_bound(bt: BoundsTable, iv: Interval) -> float:
     """Lower bound on lambda2 of the interval's aggregated graph on its
     positive-volume support, assembled from precomputed block eigenvalues
@@ -151,19 +168,7 @@ def composite_lambda2_bound(bt: BoundsTable, iv: Interval) -> float:
     Nodes with zero interval volume also have zero block volume, so excluding
     them from the min is exact, not just conservative.
     """
-    vol_iv = bt.node_volumes(iv.start, iv.end)
-    active = vol_iv > 0
-    if not active.any():
-        return 0.0
-    inv = 1.0 / vol_iv[active]
-    total = 0.0
-    for block in bt.decompose(iv):
-        lam = bt.block_lambda2(block)
-        if lam <= 0.0:
-            continue
-        ratios = bt.block_volumes(block)[active] * inv
-        total += float(ratios.min()) * lam
-    return total
+    return _block_sum(bt, iv, iv)
 
 
 def composite_bound(bt: BoundsTable, iv: Interval,
@@ -199,19 +204,8 @@ def group_bound(bt: BoundsTable, grp: PruningGroup,
     prefix blocks in the numerator, whole-group volumes in the denominator,
     and the whole-group eta."""
     whole = Interval(grp.start, grp.group_end)
-    vol_whole = bt.node_volumes(whole.start, whole.end)
-    active = vol_whole > 0
-    if not active.any():
-        return 0.0
-    inv = 1.0 / vol_whole[active]
-    total = 0.0
-    for block in bt.decompose(Interval(grp.start, grp.prefix_end)):
-        lam = bt.block_lambda2(block)
-        if lam <= 0.0:
-            continue
-        ratios = bt.block_volumes(block)[active] * inv
-        total += float(ratios.min()) * lam
-    return eta(whole, cfg) * total
+    prefix = Interval(grp.start, grp.prefix_end)
+    return eta(whole, cfg) * _block_sum(bt, prefix, whole)
 
 
 def _half(x: float) -> float:
@@ -280,13 +274,10 @@ class Pruner:
     """
 
     def __init__(self, bt: BoundsTable, groups: list[PruningGroup],
-                 cfg: NormalizationConfig, use_groups: bool = True,
-                 tol: float = DEFAULT_TOL):
+                 cfg: NormalizationConfig):
         self.bt = bt
         self.groups = groups
         self.cfg = cfg
-        self.use_groups = use_groups
-        self.tol = tol
         # the precomputed blocks are intervals solved already
         self.exact: dict[Interval, float] = {
             iv: self._exact_half(iv, res) for iv, res in bt.entries.items()
@@ -301,7 +292,7 @@ class Pruner:
         """Exact tier for one interval; caches its halved bound. A failed
         solve gets the vacuous bound 0."""
         try:
-            res = interval_lambda2(self.bt.g, iv, self.tol)
+            res = interval_lambda2(self.bt.g, iv)
         except EigenSolveError:
             self.exact[iv] = 0.0
             return None
@@ -333,8 +324,7 @@ class Pruner:
         incumbent.
         """
         if self._base is None or phi_star > self._base_phi:
-            self._base = prune_all(self.bt, self.groups, phi_star, self.cfg,
-                                   use_groups=self.use_groups)
+            self._base = prune_all(self.bt, self.groups, phi_star, self.cfg)
             self._base_phi = phi_star
         pending = sorted((v.bound_value, v.interval) for v in self._base
                          if v.status not in PRUNED_STATUSES)

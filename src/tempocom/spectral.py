@@ -8,6 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.linalg as sla
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .graph import (AggregatedGraph, Interval, NormalizationConfig,
                     TemporalGraph, aggregate, dense_adjacency, eta)
@@ -15,11 +16,13 @@ from .graph import (AggregatedGraph, Interval, NormalizationConfig,
 DEFAULT_TOL = 1e-8
 
 # Up to this many nodes interval_lambda2 is one dense LAPACK solve, above it
-# Lanczos on the sparse matrix. scripts/eig_crossover.py on a 2-core x86
-# machine: dense is faster on single snapshots and on 8-timestamp aggregates
-# up to 400 nodes (2-20x at n <= 300); from 500 nodes on, Lanczos is faster
-# on the aggregates, whose good conditioning needs only ~16 iterations.
-DENSE_MAX_NODES = 400
+# ARPACK on the sparse matrix. scripts/eig_crossover.py, one BLAS thread on a
+# 2-core x86 machine, ms per solve of a snapshot / an 8-timestamp aggregate:
+# at 300 nodes LAPACK 5.8/6.0 against ARPACK 6.0/5.6 on a sparse graph
+# (attachment 10) and 6.4/5.0 against 12.9/8.9 on a dense one (attachment
+# 90); at 400 nodes ARPACK is 1.5-1.8x faster on the sparse graph (4-5x at
+# 600-800), while LAPACK stays faster on dense snapshots up to 800 nodes.
+DENSE_MAX_NODES = 300
 
 # Absolute slack taken off a computed lambda2 before it bounds any
 # conductance: eigensolver errors are O(n * eps * ||L||) with ||L|| <= 2, and
@@ -34,9 +37,10 @@ class EigenSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigResult:
-    """lambda2 with its Fiedler vector ``fiedler``: the eigenvector scaled by
-    D^{-1/2}, over all nodes, 0 on zero-volume nodes; None when the Lanczos
-    path returns lambda2 = 0 by disconnection without solving. Sweeping it is Cheeger's inequality made constructive."""
+    """lambda2 of the positive-volume support with its Fiedler vector
+    ``fiedler``: the eigenvector scaled by D^{-1/2}, over all nodes, 0 on
+    zero-volume nodes; None when the support has fewer than two nodes.
+    Sweeping it is Cheeger's inequality made constructive."""
     lambda2: float
     residual: float
     iterations: int
@@ -47,8 +51,8 @@ def normalized_laplacian(ag: AggregatedGraph) -> tuple[sp.csr_matrix, np.ndarray
     """Symmetric normalized Laplacian restricted to positive-volume nodes.
 
     Returns (N, support_index, sqrt_volumes_on_support). Zero-volume nodes
-    have no well-defined D^{-1/2} entry and are treated as their own
-    components by the caller.
+    have no well-defined D^{-1/2} entry; they change neither cut nor volume
+    of any set, so the support's spectrum bounds every node set.
     """
     support = np.flatnonzero(ag.volumes > 0)
     adj = ag.adjacency[support][:, support].tocsr()
@@ -59,81 +63,61 @@ def normalized_laplacian(ag: AggregatedGraph) -> tuple[sp.csr_matrix, np.ndarray
     return lap.tocsr(), support, np.sqrt(vols)
 
 
-def component_count(ag: AggregatedGraph) -> int:
-    """Connected components of the aggregated graph, isolated nodes included."""
-    support = np.flatnonzero(ag.volumes > 0)
-    isolated = ag.n - len(support)
-    if len(support) == 0:
-        return ag.n
-    adj = ag.adjacency[support][:, support]
-    k = connected_components(adj, directed=False, return_labels=False)
-    return int(k) + isolated
-
-
-def _lanczos_smallest(matvec, n: int, deflate: np.ndarray, tol: float,
-                      max_iter: int, rng: np.random.Generator) -> tuple[float, np.ndarray, int]:
-    """Smallest eigenpair of a symmetric operator on the subspace orthogonal
-    to ``deflate``, via Lanczos with full reorthogonalization."""
-    d = deflate / np.linalg.norm(deflate)
-    v = rng.standard_normal(n)
-    v -= (d @ v) * d
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        raise EigenSolveError("degenerate start vector")
-    v /= nv
-
-    basis = [v]
-    alphas: list[float] = []
-    betas: list[float] = []
-    theta = np.nan
-    ritz = None
-    for it in range(1, max_iter + 1):
-        w = matvec(basis[-1])
-        alphas.append(float(basis[-1] @ w))
-        # full reorthogonalization (twice) against the basis and the deflated
-        # nullvector; instance sizes are modest so the O(n * it) cost is fine
-        for _ in range(2):
-            w -= (d @ w) * d
-            for q in basis:
-                w -= (q @ w) * q
-        beta = float(np.linalg.norm(w))
-        alpha_arr = np.array(alphas)
-        beta_arr = np.array(betas)
-        vals, vecs = sla.eigh_tridiagonal(alpha_arr, beta_arr)
-        theta = float(vals[0])
-        s = vecs[:, 0]
-        resid_est = abs(beta * s[-1])
-        # the Krylov space orthogonal to d has dimension n - 1; exhausting it
-        # means the tridiagonal eigenvalue is exact
-        if resid_est <= tol or beta <= 1e-14 or it >= n - 1:
-            ritz = np.column_stack(basis) @ s
-            return theta, ritz, it
-        betas.append(beta)
-        basis.append(w / beta)
-    raise EigenSolveError(f"no convergence after {max_iter} iterations")
-
-
 def lambda2(ag: AggregatedGraph, tol: float = DEFAULT_TOL,
             seed: int | None = None) -> EigResult:
-    """Second-smallest eigenvalue of the normalized Laplacian.
+    """Second-smallest eigenvalue of the normalized Laplacian on the
+    positive-volume support, by ARPACK: the largest eigenvalue of 2I - L on
+    the complement of the null vector D^{1/2}1, converged to ``tol``.
 
-    Disconnected aggregated graphs (counting isolated zero-volume nodes as
-    components) return lambda2 = 0 exactly without running the solver.
+    The contract is exact_lambda2's. A disconnected support returns
+    lambda2 = 0 exactly without solving, with a Fiedler vector that separates
+    one component from the rest. ``iterations`` counts operator products.
     """
     if ag.n < 2:
         raise ValueError("need at least 2 nodes")
-    if component_count(ag) > 1:
-        return EigResult(lambda2=0.0, residual=0.0, iterations=0)
-
     lap, support, dsqrt = normalized_laplacian(ag)
     ns = len(support)
+    if ns < 2:
+        return EigResult(lambda2=0.0, residual=0.0, iterations=0)
+    k, labels = connected_components(lap, directed=False)
+    if k > 1:
+        # D-orthogonal to 1 and constant on each component: a null vector
+        vols = ag.volumes[support]
+        first = labels == 0
+        f = np.where(first, vols[~first].sum(), -vols[first].sum())
+        return EigResult(lambda2=0.0, residual=0.0, iterations=0,
+                         fiedler=_embed(ag.n, support, f))
+    if ns == 2:
+        # one edge: the spectrum is {0, 2}, so on 2I - L the Fiedler vector's
+        # eigenvalue ties with the projected-out null vector's
+        x = np.array([dsqrt[1], -dsqrt[0]]) / np.linalg.norm(dsqrt)
+        return EigResult(lambda2=2.0, residual=0.0, iterations=0,
+                         fiedler=_embed(ag.n, support, x / dsqrt))
+
+    d = dsqrt / np.linalg.norm(dsqrt)
+    matvecs = 0
+
+    def shifted(v: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
+        matvecs += 1
+        v = v - (d @ v) * d
+        w = 2.0 * v - lap @ v
+        return w - (d @ w) * d
+
     if seed is None:
         seed = 0x5eed ^ (ag.interval.start * 1_000_003 + ag.interval.end)
-    rng = np.random.default_rng(seed)
-    theta, x, its = _lanczos_smallest(
-        lambda v: lap @ v, ns, dsqrt, tol, max_iter=10 * ns, rng=rng)
-    res = float(np.linalg.norm(lap @ x - theta * x) / np.linalg.norm(x))
-    return EigResult(lambda2=max(theta, 0.0), residual=res, iterations=its,
+    v0 = np.random.default_rng(seed).standard_normal(ns)
+    v0 -= (d @ v0) * d
+    try:
+        vals, vecs = eigsh(LinearOperator((ns, ns), matvec=shifted,
+                                          dtype=np.float64),
+                           k=1, which="LA", v0=v0, tol=tol)
+    except ArpackError as err:
+        raise EigenSolveError(f"ARPACK eigensolve failed: {err}") from err
+    theta, x = 2.0 - float(vals[0]), vecs[:, 0]
+    res = float(np.linalg.norm(lap @ x - theta * x))
+    return EigResult(lambda2=max(theta, 0.0), residual=res,
+                     iterations=matvecs,
                      fiedler=_embed(ag.n, support, x / dsqrt))
 
 
@@ -171,35 +155,32 @@ def exact_lambda2(adj: np.ndarray) -> EigResult:
                      fiedler=_embed(len(vols), support, x * dinv))
 
 
-def interval_lambda2(g: TemporalGraph, iv: Interval,
-                     tol: float = DEFAULT_TOL) -> EigResult:
+def interval_lambda2(g: TemporalGraph, iv: Interval) -> EigResult:
     """Certified lower bound on lambda2 of g aggregated over iv, with its
     Fiedler vector: the solver's value less max(LAMBDA2_SLACK, residual),
-    clamped at 0. A disconnected graph gets exactly 0: Lanczos returns 0
-    for it without solving, and LAPACK's rounding error, O(n * eps), stays
-    far below the slack.
+    clamped at 0. A disconnected support gets exactly 0: ARPACK's path
+    returns 0 for it without solving, and LAPACK's rounding error,
+    O(n * eps), stays far below the slack.
 
-    Dense LAPACK up to DENSE_MAX_NODES nodes, where ``tol`` is unused;
-    Lanczos to ``tol`` above.
+    Dense LAPACK up to DENSE_MAX_NODES nodes, ARPACK above.
     """
     if g.n <= DENSE_MAX_NODES:
         res = exact_lambda2(dense_adjacency(g, iv))
     else:
-        res = lambda2(aggregate(g, iv), tol)
+        res = lambda2(aggregate(g, iv))
     lam = max(res.lambda2 - max(LAMBDA2_SLACK, res.residual), 0.0)
     return replace(res, lambda2=lam)
 
 
 def lambda2_dense(ag: AggregatedGraph) -> float:
     """Dense eigendecomposition oracle for the same quantity (small n only)."""
-    if component_count(ag) > 1:
+    lap, support, _ = normalized_laplacian(ag)
+    if len(support) < 2 or connected_components(
+            lap, directed=False, return_labels=False) > 1:
         return 0.0
-    lap, _, _ = normalized_laplacian(ag)
-    vals = np.linalg.eigvalsh(lap.toarray())
-    return float(vals[1])
+    return float(np.linalg.eigvalsh(lap.toarray())[1])
 
 
-def cheeger_lower_bound(ag: AggregatedGraph, cfg: NormalizationConfig,
-                        tol: float = DEFAULT_TOL) -> float:
+def cheeger_lower_bound(ag: AggregatedGraph, cfg: NormalizationConfig) -> float:
     """eta(interval) * lambda2 / 2, a lower bound on any subset's conductance."""
-    return eta(ag.interval, cfg) * lambda2(ag, tol).lambda2 / 2.0
+    return eta(ag.interval, cfg) * lambda2(ag).lambda2 / 2.0

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,34 +25,6 @@ def weighted_jaccard(a: Mapping[int, float], b: Mapping[int, float]) -> float:
         num += min(wa, wb)
         den += max(wa, wb)
     return num / den
-
-
-@dataclass(frozen=True)
-class TemporalNeighborhood:
-    """Weighted neighbor set of (node, timestamp), including the node itself
-    with its volume at that timestamp."""
-
-    node: int
-    timestamp: int
-    weights: Mapping[int, float]
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        keys = np.fromiter(self.weights.keys(), dtype=np.int64)
-        vals = np.fromiter(self.weights.values(), dtype=np.float64)
-        return keys, vals
-
-
-def temporal_neighborhood(g: TemporalGraph, u: int, t: int) -> TemporalNeighborhood:
-    snap = g.weights[:, t]
-    w: dict[int, float] = {}
-    for e in np.flatnonzero(((g.edge_u == u) | (g.edge_v == u)) & (snap > 0)):
-        v = int(g.edge_v[e]) if g.edge_u[e] == u else int(g.edge_u[e])
-        w[v] = float(snap[e])
-    vol = sum(w.values())
-    if vol <= 0:
-        raise ValueError(f"node {u} has no interactions at t={t}")
-    w[u] = vol
-    return TemporalNeighborhood(node=u, timestamp=t, weights=w)
 
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -116,12 +88,6 @@ class WeightedMinHasher:
         rows = np.arange(self.r)[:, None]
         return keys[idx].T, t[rows, idx].astype(np.int64).T
 
-    def hash(self, nbhd: TemporalNeighborhood) -> np.ndarray:
-        """r packed 64-bit minhash values."""
-        keys, vals = nbhd.arrays()
-        skeys, levels = self.sample(keys, vals)
-        return _pack64(skeys, levels)
-
 
 class TemporalPivotHasher:
     """Maps a timestamp to the index of the earliest of k random pivots at or
@@ -156,18 +122,9 @@ class CompositeSignature:
     band: int
     time_part: int
     graph_part: tuple[int, ...]
-    graph_keys: tuple[int, ...] = field(compare=False)
 
     def sort_key(self):
         return (self.scale, self.band, self.time_part, self.graph_part)
-
-    def packed_key(self, n_nodes: int, k: int) -> int:
-        """Compact integer of the pivot index and the sampled vertex ids,
-        fitting in ceil(log2((k+2) * n^r)) bits."""
-        acc = self.time_part
-        for key in self.graph_keys:
-            acc = acc * n_nodes + key
-        return acc
 
 
 @dataclass
@@ -246,7 +203,6 @@ def hash_all(g: TemporalGraph, intervals, scales: Sequence[int], r: int, b: int,
     # keyed by (scale, band, time_part, packed-row bytes): cheaper to build
     # than signature objects, which are materialized only for kept buckets
     tables: dict[tuple, list[tuple[int, int]]] = {}
-    key_rows: dict[tuple, bytes] = {}
     if not intervals:
         return []
 
@@ -300,7 +256,6 @@ def hash_all(g: TemporalGraph, intervals, scales: Sequence[int], r: int, b: int,
             nodes = active.tolist()
             for j in range(b):
                 gp = np.ascontiguousarray(packed[:, j * r:(j + 1) * r]).tobytes()
-                gk = np.ascontiguousarray(skeys[:, j * r:(j + 1) * r]).tobytes()
                 tp = time_parts[j]
                 for i, u in enumerate(nodes):
                     lo = i * width
@@ -308,7 +263,6 @@ def hash_all(g: TemporalGraph, intervals, scales: Sequence[int], r: int, b: int,
                     lst = tables.get(key)
                     if lst is None:
                         tables[key] = [(u, t)]
-                        key_rows[key] = gk[lo:lo + width]
                     else:
                         lst.append((u, t))
 
@@ -320,7 +274,6 @@ def hash_all(g: TemporalGraph, intervals, scales: Sequence[int], r: int, b: int,
         sig = CompositeSignature(
             scale=s_, band=j_, time_part=tp_,
             graph_part=tuple(int(x) for x in np.frombuffer(gp_bytes, np.uint64)),
-            graph_keys=tuple(int(x) for x in np.frombuffer(key_rows[key], np.int64)),
         )
         buckets.extend(_split_oversized(Bucket(sig, entries), bucket_cap))
     return sort_buckets(buckets)

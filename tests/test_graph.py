@@ -42,6 +42,18 @@ class TestLoad:
         with pytest.raises(GraphFormatError, match="non-positive"):
             load(write(tmp_path, "tgraph 2 1\na b 0 -1.5\n"))
 
+    def test_weights_past_the_float_range_rejected(self, tmp_path):
+        # rejected at the loader, not deep inside an eigensolver
+        with pytest.raises(GraphFormatError, match="line 3: weight inf"):
+            load(write(tmp_path, "tgraph 4 1\na b 0 1\nb c 0 inf\n"))
+        with pytest.raises(GraphFormatError, match="line 2: weight 1e308"):
+            load(write(tmp_path, "tgraph 4 1\nb c 0 1e308\nb c 0 1e308\n"))
+        # each record is fine alone; their merged sum is not
+        with pytest.raises(GraphFormatError, match="line 3: weight 6e307"):
+            load(write(tmp_path, "tgraph 4 1\nb c 0 6e307\nc b 0 6e307\n"))
+        g = load(write(tmp_path, "tgraph 4 1\nb c 0 6e307\n"))
+        assert np.isfinite(g.node_volume_prefix()).all()
+
     def test_timestamp_beyond_declared_rejected(self, tmp_path):
         with pytest.raises(GraphFormatError, match="timestamp 4"):
             load(write(tmp_path, "tgraph 2 4\na b 4 1.0\n"))

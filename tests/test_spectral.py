@@ -10,9 +10,8 @@ from tempocom.graph import (Interval, NormalizationConfig, TemporalGraph,
 from tempocom.oracle import brute_force_min_phi
 import tempocom.spectral as spectral
 from tempocom.spectral import (LAMBDA2_SLACK, cheeger_lower_bound,
-                               component_count, exact_lambda2,
-                               interval_lambda2, lambda2, lambda2_dense,
-                               normalized_laplacian)
+                               exact_lambda2, interval_lambda2, lambda2,
+                               lambda2_dense, normalized_laplacian)
 
 
 def agg(g):
@@ -35,11 +34,22 @@ class TestLambda2:
         g = TemporalGraph.from_records([str(i) for i in range(6)], 1, records)
         res = lambda2(agg(g))
         assert res.lambda2 == 0.0 and res.iterations == 0
+        # a null vector D-orthogonal to 1: constant on each triangle
+        f = res.fiedler
+        assert np.allclose(f[:3], f[0]) and np.allclose(f[3:], f[3])
+        assert f[0] != f[3] and agg(g).volumes @ f == pytest.approx(0.0)
 
-    def test_isolated_node_counts_as_component(self):
-        g = TemporalGraph.from_records(["0", "1", "2"], 1, [(0, 1, 0, 1.0)])
-        assert component_count(agg(g)) == 2
-        assert lambda2(agg(g)).lambda2 == 0.0
+    def test_zero_volume_nodes_left_out(self):
+        # the support decides: an idle node is not a component
+        g = TemporalGraph.from_records(
+            ["0", "1", "2", "3"], 1,
+            [(0, 1, 0, 1.0), (1, 2, 0, 1.0), (0, 2, 0, 1.0)])
+        res = lambda2(agg(g))
+        assert res.lambda2 == pytest.approx(1.5, abs=1e-12)
+        assert res.lambda2 == pytest.approx(lambda2_dense(agg(g)), abs=1e-12)
+        assert res.fiedler[3] == 0.0
+        edge = TemporalGraph.from_records(["0", "1", "2"], 1, [(0, 1, 0, 1.0)])
+        assert lambda2(agg(edge)).lambda2 == 2.0
 
     def test_too_small_rejected(self):
         g = TemporalGraph.from_records(["0"], 1, [])
@@ -150,18 +160,42 @@ class TestIntervalLambda2:
         raw = exact_lambda2(dense_adjacency(g, Interval(0, 0))).lambda2
         assert raw <= 1e-12
 
-    def test_graphs_above_the_dense_limit_use_lanczos(self):
+    def test_graphs_above_the_dense_limit_use_arpack(self):
         n = spectral.DENSE_MAX_NODES + 1
         g = connected_random_instance(np.random.default_rng(29), n, 1,
                                       density=0.05)
         iv = Interval(0, 0)
         res = interval_lambda2(g, iv)
         dense = exact_lambda2(dense_adjacency(g, iv))
-        # exact_lambda2 reports one iteration; Lanczos reports its own count
+        # exact_lambda2 reports one iteration; ARPACK its operator products
         assert res.iterations > 1
         assert res.lambda2 == pytest.approx(dense.lambda2, abs=1e-7)
         assert res.lambda2 <= dense.lambda2
         assert res.fiedler is not None and res.fiedler.shape == (n,)
+
+    def test_idle_node_above_the_dense_limit(self):
+        # both paths solve on the positive-volume support: one idle node
+        # neither zeroes lambda2 nor drops the Fiedler vector
+        n = spectral.DENSE_MAX_NODES + 1
+        h = connected_random_instance(np.random.default_rng(31), n - 1, 1,
+                                      density=0.05)
+        g = TemporalGraph(list(h.labels) + ["idle"], 1, h.edge_u, h.edge_v,
+                          h.weights)
+        iv = Interval(0, 0)
+        res = interval_lambda2(g, iv)
+        dense = exact_lambda2(dense_adjacency(g, iv))
+        assert res.iterations > 1
+        assert res.lambda2 == pytest.approx(dense.lambda2, abs=1e-7)
+        assert dense.lambda2 > 1e-3
+        assert res.fiedler is not None and res.fiedler[n - 1] == 0.0
+
+    def test_two_node_support_on_the_arpack_path(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DENSE_MAX_NODES", 0)
+        g = TemporalGraph.from_records(["0", "1", "2"], 1, [(0, 1, 0, 4.0)])
+        res = interval_lambda2(g, Interval(0, 0))
+        assert res.lambda2 == 2.0 - LAMBDA2_SLACK
+        f = res.fiedler
+        assert f[2] == 0.0 and f[0] == pytest.approx(-f[1])
 
 
 class TestNormalizedLaplacian:

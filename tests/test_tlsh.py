@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clique_graph, cycle_graph
-from tempocom.graph import Interval, TemporalGraph
+from tempocom.graph import Interval
 from tempocom.tlsh import (Bucket, CompositeSignature, TemporalPivotHasher,
                            WeightedMinHasher, _split_oversized,
                            composite_collision_count, hash_all,
                            minhash_collision_count, optimal_pivots,
                            pivot_collision_count, scale_ladder, sort_buckets,
-                           temporal_neighborhood, weighted_jaccard)
+                           weighted_jaccard)
 
 
 def three_sigma(p, trials):
@@ -197,24 +197,10 @@ class TestCompositeCollisionLaw:
         assert abs(collide_any - p_or * sub) <= three_sigma(p_or, sub)
 
 
-class TestTemporalNeighborhood:
-    def test_includes_self_with_volume(self):
-        g = clique_graph(4, T=2, weight=2.0)
-        nb = temporal_neighborhood(g, 1, 0)
-        assert nb.weights[1] == pytest.approx(6.0)
-        assert set(nb.weights) == {0, 1, 2, 3}
-
-    def test_inactive_node_rejected(self):
-        g = TemporalGraph.from_records(["0", "1", "2"], 2,
-                                       [(0, 1, 0, 1.0), (1, 2, 1, 1.0)])
-        with pytest.raises(ValueError):
-            temporal_neighborhood(g, 0, 1)
-
-
 class TestBuckets:
     def sig(self, **kw):
         base = dict(scale=1, band=0, time_part=1,
-                    graph_part=(1, 2), graph_keys=(0, 1))
+                    graph_part=(1, 2))
         base.update(kw)
         return CompositeSignature(**base)
 
@@ -247,14 +233,6 @@ class TestBuckets:
         entries = [(u, 3) for u in range(20)]
         parts = _split_oversized(Bucket(self.sig(), entries), cap=10)
         assert len(parts) == 1
-
-    def test_packed_key_fits_size_budget(self):
-        n, k, r = 50, 12, 3
-        sig = CompositeSignature(scale=2, band=1, time_part=7,
-                                 graph_part=(9, 9, 9), graph_keys=(4, 49, 0))
-        assert sig.packed_key(n, k) < (k + 2) * n ** r
-        bits = math.ceil(math.log2((k + 2) * n ** r))
-        assert sig.packed_key(n, k).bit_length() <= bits
 
 
 class TestScaleLadder:
