@@ -13,7 +13,6 @@ from .graph import (GraphFormatError, Interval, NormalizationConfig, eta,
 from .driver import RunConfig, detect, estimate_initial, sweep_open_intervals
 from .oracle import InstanceTooLargeError, brute_force_best
 from .pruning import Pruner, build_groups, precompute
-from .refine import WalkConvergenceError
 from .spectral import EigenSolveError, interval_lambda2
 from .synth import SynthConfig, generate
 from .tlsh import composite_collision_count, weighted_jaccard
@@ -225,7 +224,7 @@ def main(argv=None) -> int:
             ValueError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (EigenSolveError, WalkConvergenceError) as err:
+    except EigenSolveError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
 

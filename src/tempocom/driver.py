@@ -14,8 +14,8 @@ from .graph import (Interval, NormalizationConfig, TemporalCommunity,
                     TemporalGraph, aggregate, eta)
 from .pruning import (BoundsTable, PruneVerdict, Pruner, STATUS_PROBED,
                       STATUS_UNPRUNED, build_groups, precompute)
-from .refine import (WalkParams, fiedler_sweep, refine_bucket, rwr_scores,
-                     sweep)
+from .refine import (NoConnectedPrefixError, WalkParams, fiedler_sweep,
+                     refine_bucket, rwr_scores, seed_rankings, sweep)
 from .spectral import EigResult
 from .tlsh import hash_all, scale_ladder
 
@@ -72,18 +72,12 @@ def _fallback_sweep(g: TemporalGraph, cfg: RunConfig,
     aggregated graph; the estimate of last resort."""
     ag = aggregate(g, g.full_interval())
     order = np.argsort(-ag.volumes, kind="stable")
+    seeds = [int(u) for u in order[:n_seeds] if ag.volumes[u] > 0]
     best = None
-    for seed in order[:n_seeds]:
-        if ag.volumes[seed] <= 0:
-            break
-        scores = rwr_scores(ag, [int(seed)], cfg.walk)
-        norm = np.zeros(g.n)
-        pos = ag.volumes > 0
-        norm[pos] = scores[pos] / ag.volumes[pos]
-        ranking = sorted(np.flatnonzero(pos).tolist(), key=lambda u: (-norm[u], u))
+    for ranking in seed_rankings(ag, seeds, cfg.walk):
         try:
             nodes, _, phi = sweep(ag, ranking, cfg.norm())
-        except ValueError:
+        except NoConnectedPrefixError:
             continue
         cand = TemporalCommunity(nodes=nodes, interval=ag.interval, phi=phi)
         if best is None or cand.sort_key() < best.sort_key():
@@ -127,7 +121,7 @@ def estimate_initial(g: TemporalGraph, bt: BoundsTable, cfg: RunConfig,
             continue
         try:
             result = refine_bucket(g, buckets[0].entries, norm, cfg.walk)
-        except (ValueError, RuntimeError):
+        except NoConnectedPrefixError:
             continue
         if math.isfinite(result.community.phi):
             candidates.append(result.community)
@@ -214,8 +208,11 @@ def detect(g: TemporalGraph, cfg: RunConfig) -> DetectionState:
         timings["hash"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
+        # first pass: span cap and deduplication; the surviving seedings
+        # are grouped by interval, in bucket order
+        seedings = []
+        groups: dict[Interval, list[list[int]]] = {}
         seen_seedings: set = set()
-        agg_cache: dict[Interval, object] = {}
         for bucket in buckets:
             lo, hi = bucket.span
             # entries spanning far beyond the hashing scale collide by chance,
@@ -230,17 +227,31 @@ def detect(g: TemporalGraph, cfg: RunConfig) -> DetectionState:
             if seed_key in seen_seedings:
                 continue
             seen_seedings.add(seed_key)
+            group = groups.setdefault(iv, [])
+            seedings.append((iv, bucket.entries, len(group)))
+            group.append(sorted(counts))
+
+        # second pass: the bound decides bucket by bucket against the
+        # current incumbent; an interval's first refined bucket aggregates it
+        # and solves the walks of all its seedings from there on at once, and
+        # both are dropped after the interval's last seeding
+        walks: dict[Interval, tuple] = {}
+        for iv, entries, k in seedings:
+            group = groups[iv]
             bound_half = pruner.half_bound(iv)
-            if bound_half >= phi_star:
-                bucket_log.append(BucketDecision(iv, bound_half, phi_star, False))
+            refined = bound_half < phi_star
+            bucket_log.append(BucketDecision(iv, bound_half, phi_star, refined))
+            if refined and iv not in walks:
+                ag = aggregate(g, iv)
+                walks[iv] = (ag, k, rwr_scores(ag, group[k:], cfg.walk))
+            walk = walks.pop(iv, None) if k == len(group) - 1 else walks.get(iv)
+            if not refined:
                 continue
-            bucket_log.append(BucketDecision(iv, bound_half, phi_star, True))
-            ag = agg_cache.get(iv)
-            if ag is None:
-                ag = agg_cache[iv] = aggregate(g, iv)
+            ag, first, scores = walk
             try:
-                result = refine_bucket(g, bucket.entries, norm, cfg.walk, ag=ag)
-            except (ValueError, RuntimeError):
+                result = refine_bucket(g, entries, norm, cfg.walk, ag=ag,
+                                       scores=scores[:, k - first])
+            except NoConnectedPrefixError:
                 continue
             cand = result.community
             _add_candidate(results, cand)

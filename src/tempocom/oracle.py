@@ -9,7 +9,7 @@ import numpy as np
 
 from .graph import (Interval, NormalizationConfig, TemporalCommunity,
                     TemporalGraph, aggregate, dense_adjacency, eta)
-from .refine import WalkParams, rwr_scores, sweep
+from .refine import NoConnectedPrefixError, WalkParams, seed_rankings, sweep
 
 BRUTE_MAX_NODES = 16
 BRUTE_MAX_TIMELINE = 12
@@ -124,14 +124,10 @@ def exh_baseline(g: TemporalGraph, cfg: NormalizationConfig,
             active = np.flatnonzero(ag.volumes > 0)
             if len(active) < 2:
                 continue
-            for seed in active:
-                scores = rwr_scores(ag, [int(seed)], params)
-                norm = np.zeros(g.n)
-                norm[active] = scores[active] / ag.volumes[active]
-                ranking = sorted(active.tolist(), key=lambda u: (-norm[u], u))
+            for ranking in seed_rankings(ag, active, params):
                 try:
                     nodes, _, phi = sweep(ag, ranking, cfg)
-                except ValueError:
+                except NoConnectedPrefixError:
                     continue
                 cand = TemporalCommunity(nodes=nodes, interval=iv, phi=phi)
                 if best is None or cand.sort_key() < best.sort_key():

@@ -3,32 +3,30 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.sparse.linalg import splu
 
 from .graph import (AggregatedGraph, Interval, NormalizationConfig,
                     TemporalCommunity, TemporalGraph, aggregate, conductance, eta)
 
 DEFAULT_RESTART = 0.15
-DEFAULT_WALK_TOL = 1e-9
-MAX_WALK_ITER = 10_000
+# above this many positive-volume nodes the walk system is factored sparse
+DENSE_WALK_MAX_NODES = 2048
 
 
-class WalkConvergenceError(RuntimeError):
-    def __init__(self, iterations: int):
-        super().__init__(f"random walk did not converge in {iterations} iterations")
-        self.iterations = iterations
+class NoConnectedPrefixError(ValueError):
+    """A sweep found no connected prefix (below its limit) to cut at."""
 
 
 @dataclass(frozen=True)
 class WalkParams:
     restart: float = DEFAULT_RESTART
-    tol: float = DEFAULT_WALK_TOL
 
     def __post_init__(self):
         if not (0 < self.restart < 1):
@@ -42,40 +40,47 @@ class SweepResult:
     walk_params: WalkParams
 
 
-def rwr_scores(ag: AggregatedGraph, seeds: Iterable[int],
+def rwr_scores(ag: AggregatedGraph, seed_sets: Sequence[Iterable[int]],
                params: WalkParams = WalkParams()) -> np.ndarray:
-    """Stationary restart-walk distribution with uniform restart mass on seeds.
+    """Stationary restart-walk distributions, one column per seed set, each
+    with uniform restart mass on its seeds.
 
-    Zero-volume nodes are treated as self-loops so the chain stays stochastic.
-    Power iteration stops when the L1 change drops below the tolerance.
+    The walk matrix is W = A D^-1 with self-loops on zero-volume nodes, and
+    each column solves (I - (1-c) W) x = c r exactly from one LU
+    factorization (Tong, Faloutsos and Pan 2006). A zero-volume node has no
+    edge, so it keeps its restart mass and the system is factored on the
+    positive-volume support only: dense LAPACK up to DENSE_WALK_MAX_NODES
+    nodes, SuperLU above.
     """
-    seeds = sorted(set(seeds))
-    if not seeds:
-        raise ValueError("seeds must be nonempty")
-    n = ag.n
-    restart = np.zeros(n)
-    restart[seeds] = 1.0 / len(seeds)
-
-    vols = ag.volumes
-    inv = np.zeros(n)
-    pos = vols > 0
-    inv[pos] = 1.0 / vols[pos]
-    # column-stochastic walk matrix P^T with self-loops on dangling nodes;
-    # dense is faster per iteration at the sizes this pipeline targets
-    walk = (ag.adjacency.multiply(inv[:, None])).T
-    walk = walk.toarray() if n <= 2048 else walk.tocsr()
-    dangling = np.flatnonzero(~pos)
-
+    # the restart vectors, overwritten on the support by the solution
+    scores = np.zeros((ag.n, len(seed_sets)))
+    for j, seeds in enumerate(seed_sets):
+        seeds = sorted(set(seeds))
+        if not seeds:
+            raise ValueError("seeds must be nonempty")
+        scores[seeds, j] = 1.0 / len(seeds)
+    pos = ag.volumes > 0
+    m = int(pos.sum())
+    if m == 0:
+        return scores
     c = params.restart
-    x = restart.copy()
-    for _ in range(MAX_WALK_ITER):
-        nxt = (1.0 - c) * (walk @ x) + c * restart
-        nxt[dangling] += (1.0 - c) * x[dangling]
-        delta = np.abs(nxt - x).sum()
-        x = nxt
-        if delta < params.tol:
-            return x
-    raise WalkConvergenceError(MAX_WALK_ITER)
+    # entry (u, v) of (1-c) A D^-1 for both orientations of every edge,
+    # indexed by position in the support
+    u = np.concatenate([ag.edge_u, ag.edge_v])
+    v = np.concatenate([ag.edge_v, ag.edge_u])
+    step = (1.0 - c) * np.concatenate([ag.edge_w, ag.edge_w]) / ag.volumes[v]
+    at = np.cumsum(pos) - 1
+    rhs = c * scores[pos]
+    if m <= DENSE_WALK_MAX_NODES:
+        system = np.eye(m, order="F")
+        system[at[u], at[v]] -= step
+        lu = lu_factor(system, overwrite_a=True, check_finite=False)
+        scores[pos] = lu_solve(lu, rhs, overwrite_b=True, check_finite=False)
+    else:
+        system = (sp.identity(m, format="csc")
+                  - sp.csc_matrix((step, (at[u], at[v])), shape=(m, m)))
+        scores[pos] = splu(system).solve(rhs)
+    return scores
 
 
 def sweep(ag: AggregatedGraph, ranking: Sequence[int],
@@ -86,8 +91,8 @@ def sweep(ag: AggregatedGraph, ranking: Sequence[int],
     Cut and volume of every prefix come from cumulative sums along the
     ranking, connectivity from one minimum spanning forest; disconnected
     prefixes are skipped, not fatal. Ties go to the shorter prefix.
-    Returns (nodes, prefix_length, phi); raises ValueError when no connected
-    prefix has phi below ``limit``.
+    Returns (nodes, prefix_length, phi); raises NoConnectedPrefixError when
+    no connected prefix has phi below ``limit``.
     """
     ranking = np.asarray(ranking, dtype=np.int64)
     if len(ranking) == 0:
@@ -97,7 +102,7 @@ def sweep(ag: AggregatedGraph, ranking: Sequence[int],
     n = ag.n
     steps = min(len(ranking) - 1, n - 1)
     if steps <= 0:
-        raise ValueError("no connected prefix in the ranking")
+        raise NoConnectedPrefixError("no connected prefix in the ranking")
     order = ranking[:steps]
     # nodes outside the evaluated prefixes rank last
     rank = np.full(n, steps, dtype=np.int64)
@@ -121,7 +126,7 @@ def sweep(ag: AggregatedGraph, ranking: Sequence[int],
     if ok.any():
         ok &= _connected_prefixes(ru, rv, steps)
     if not ok.any():
-        raise ValueError("no connected prefix in the ranking")
+        raise NoConnectedPrefixError("no connected prefix in the ranking")
     i = int(np.flatnonzero(ok)[np.argmin(phi[ok])])
     return frozenset(order[:i + 1].tolist()), i + 1, float(phi[i])
 
@@ -160,7 +165,7 @@ def fiedler_sweep(g: TemporalGraph, iv: Interval, fiedler: np.ndarray,
     for ranking in (order, order[::-1]):
         try:
             nodes, size, phi = sweep(ag, ranking, cfg, limit)
-        except ValueError:
+        except NoConnectedPrefixError:
             continue
         if best is None or (phi, size) < best[:2]:
             best = (phi, size, nodes)
@@ -174,34 +179,50 @@ def fiedler_sweep(g: TemporalGraph, iv: Interval, fiedler: np.ndarray,
 def refine_bucket(g: TemporalGraph, bucket_entries: Sequence[tuple[int, int]],
                   cfg: NormalizationConfig,
                   params: WalkParams = WalkParams(),
-                  ag: AggregatedGraph | None = None) -> SweepResult:
+                  ag: AggregatedGraph | None = None,
+                  scores: np.ndarray | None = None) -> SweepResult:
     """Expand bucket seeds into a community on the bucket's timestamp span.
 
     Ranking: bucket nodes by within-bucket multiplicity (then walk score,
     then index), followed by all remaining nodes by volume-normalized walk
     score, so the sweep can grow beyond the bucket. A caller refining many
-    buckets with the same span may pass the aggregated graph in.
+    buckets with the same span may pass in the aggregated graph and, with
+    it, the bucket's column of a batched ``rwr_scores``.
     """
     if not bucket_entries:
         raise ValueError("bucket must be nonempty")
     ts = [t for _, t in bucket_entries]
     iv = Interval(min(ts), max(ts))
     if ag is None or ag.interval != iv:
-        ag = aggregate(g, iv)
+        ag, scores = aggregate(g, iv), None
 
-    multiplicity = Counter(u for u, _ in bucket_entries)
-    seeds = sorted(multiplicity)
-    scores = rwr_scores(ag, seeds, params)
+    seeds, multiplicity = np.unique([u for u, _ in bucket_entries],
+                                    return_counts=True)
+    if scores is None:
+        scores = rwr_scores(ag, [seeds], params)[:, 0]
 
-    bucket_rank = sorted(seeds, key=lambda u: (-multiplicity[u], -scores[u], u))
+    bucket_rank = seeds[np.lexsort((seeds, -scores[seeds], -multiplicity))]
     norm = np.zeros(g.n)
     pos = ag.volumes > 0
     norm[pos] = scores[pos] / ag.volumes[pos]
-    rest = [u for u in range(g.n) if u not in multiplicity and norm[u] > 0]
-    rest.sort(key=lambda u: (-norm[u], u))
-    ranking = bucket_rank + rest
+    norm[seeds] = 0.0  # ranked already
+    rest = np.flatnonzero(norm > 0)
+    rest = rest[np.lexsort((rest, -norm[rest]))]
+    ranking = np.concatenate([bucket_rank, rest])
 
     nodes, size, _ = sweep(ag, ranking, cfg)
     phi = conductance(g, nodes, iv, cfg)
     community = TemporalCommunity(nodes=nodes, interval=iv, phi=phi)
     return SweepResult(community=community, sweep_index=size, walk_params=params)
+
+
+def seed_rankings(ag: AggregatedGraph, seeds: Sequence[int],
+                  params: WalkParams = WalkParams()) -> list[np.ndarray]:
+    """One ranking per seed node: the positive-volume nodes by descending
+    volume-normalized walk score from that seed alone, then by index. The
+    walks of all seeds come from one ``rwr_scores`` call."""
+    support = np.flatnonzero(ag.volumes > 0)
+    norm = (rwr_scores(ag, [[u] for u in seeds], params)[support]
+            / ag.volumes[support][:, None])
+    return [support[np.lexsort((support, -norm[:, j]))]
+            for j in range(len(seeds))]

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import clique_graph, connected_random_instance
+from tempocom import driver
 from tempocom.driver import (RunConfig, detect, estimate_initial,
                              fiedler_candidates)
 from tempocom.graph import NormalizationConfig, conductance
 from tempocom.oracle import brute_force_best
 from tempocom.pruning import (PRUNED_STATUSES, STATUS_PROBED, STATUS_UNPRUNED,
                               precompute)
+from tempocom.refine import rwr_scores
 from tempocom.synth import SynthConfig, generate
 
 
@@ -122,6 +124,36 @@ class TestDetect:
                 assert dec.bound_half < dec.phi_star_before
             else:
                 assert dec.bound_half >= dec.phi_star_before
+
+    def test_one_walk_solve_per_refined_interval(self, monkeypatch):
+        calls = []
+
+        def counting(ag, seed_sets, params):
+            calls.append((ag.interval, len(seed_sets)))
+            return rwr_scores(ag, seed_sets, params)
+
+        rng = np.random.default_rng(137)
+        g = connected_random_instance(rng, 14, 10, density=0.3)
+        plain = detect(g, RunConfig(alpha=0.2))
+        monkeypatch.setattr(driver, "rwr_scores", counting)
+        state = detect(g, RunConfig(alpha=0.2))
+        refined = [d.interval for d in state.bucket_log if d.refined]
+        assert len(refined) > len(set(refined)) > 0
+        assert sorted(iv for iv, _ in calls) == sorted(set(refined))
+        # every refined bucket found its walk among the solved columns
+        assert sum(k for _, k in calls) >= len(refined)
+        assert [(c.nodes, c.interval, c.phi) for c in state.communities] == \
+            [(c.nodes, c.interval, c.phi) for c in plain.communities]
+
+    def test_refine_failures_other_than_no_prefix_propagate(self, monkeypatch):
+        def failing(ag, seed_sets, params):
+            raise RuntimeError("walk solver failed")
+
+        rng = np.random.default_rng(137)
+        g = connected_random_instance(rng, 14, 10, density=0.3)
+        monkeypatch.setattr(driver, "rwr_scores", failing)
+        with pytest.raises(RuntimeError, match="walk solver failed"):
+            detect(g, RunConfig(alpha=0.2))
 
     def test_incumbent_is_monotone_in_log(self):
         rng = np.random.default_rng(139)

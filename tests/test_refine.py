@@ -12,8 +12,9 @@ from tempocom.graph import (Interval, NormalizationConfig, TemporalGraph,
                             aggregate, conductance)
 from tempocom.graph import dense_adjacency
 from tempocom.oracle import brute_force_best, brute_force_min_phi
-from tempocom.refine import (WalkParams, fiedler_sweep, refine_bucket,
-                             rwr_scores, sweep)
+from tempocom import refine
+from tempocom.refine import (NoConnectedPrefixError, WalkParams, fiedler_sweep,
+                             refine_bucket, rwr_scores, seed_rankings, sweep)
 from tempocom.spectral import exact_lambda2
 from tempocom.synth import SynthConfig, generate
 
@@ -55,17 +56,35 @@ def assert_sweep_matches_oracle(g, ranking, cfg):
     return result
 
 
+def power_iteration(ag, seeds, c, tol=1e-14):
+    """The restart walk iterated to an L1 change below tol, with self-loops
+    on zero-volume nodes."""
+    restart = np.zeros(ag.n)
+    restart[seeds] = 1 / len(seeds)
+    walk = np.zeros((ag.n, ag.n))
+    pos = ag.volumes > 0
+    walk[:, pos] = ag.adjacency.toarray()[:, pos] / ag.volumes[pos]
+    walk[~pos, ~pos] = 1.0
+    x = restart.copy()
+    for _ in range(100_000):
+        nxt = (1 - c) * walk @ x + c * restart
+        if np.abs(nxt - x).sum() < tol:
+            return nxt
+        x = nxt
+    raise AssertionError("power iteration did not converge")
+
+
 class TestRwrScores:
     def test_scores_are_a_distribution(self):
         rng = np.random.default_rng(61)
         g = connected_random_instance(rng, 15, 2)
-        s = rwr_scores(agg(g), [0, 3])
+        s = rwr_scores(agg(g), [[0, 3]])[:, 0]
         assert np.all(s >= 0)
         assert s.sum() == pytest.approx(1.0, abs=1e-8)
 
     def test_symmetric_seeds_on_clique(self):
         g = clique_graph(4)
-        s = rwr_scores(agg(g), [0])
+        s = rwr_scores(agg(g), [[0]])[:, 0]
         # all non-seed nodes are automorphic images of one another
         assert s[1] == pytest.approx(s[2], abs=1e-12)
         assert s[2] == pytest.approx(s[3], abs=1e-12)
@@ -74,7 +93,7 @@ class TestRwrScores:
     def test_mass_stays_on_reachable_component(self):
         records = [(0, 1, 0, 1.0), (2, 3, 0, 1.0)]
         g = TemporalGraph.from_records([str(i) for i in range(4)], 1, records)
-        s = rwr_scores(agg(g), [0])
+        s = rwr_scores(agg(g), [[0]])[:, 0]
         assert s[0] + s[1] == pytest.approx(1.0, abs=1e-8)
         assert s[2] == 0.0 and s[3] == 0.0
 
@@ -88,19 +107,77 @@ class TestRwrScores:
         restart[seeds] = 1 / len(seeds)
         P = ag.adjacency.toarray() / ag.volumes[:, None]
         x = np.linalg.solve(np.eye(ag.n) - (1 - c) * P.T, c * restart)
-        got = rwr_scores(ag, seeds, WalkParams(restart=c, tol=1e-12))
-        assert np.allclose(got, x, atol=1e-6)
+        got = rwr_scores(ag, [seeds], WalkParams(restart=c))[:, 0]
+        assert np.allclose(got, x, atol=1e-12)
+
+    def test_columns_equal_single_set_calls(self):
+        rng = np.random.default_rng(53)
+        g = random_instance(rng, 20, 3, density=0.15)
+        ag = agg(g)
+        seed_sets = [[0], [3, 7], [19, 2, 5], [0]]
+        got = rwr_scores(ag, seed_sets)
+        assert got.shape == (20, 4)
+        # a multi-column triangular solve may round differently from a
+        # single-column one, in the last bits only
+        for j, seeds in enumerate(seed_sets):
+            assert np.abs(got[:, j] - rwr_scores(ag, [seeds])[:, 0]).max() \
+                < 1e-15
+
+    def test_matches_power_iteration(self):
+        rng = np.random.default_rng(59)
+        for trial in range(5):
+            g = random_instance(rng, 25, 2, density=0.12)
+            ag = agg(g)
+            c = float(rng.uniform(0.05, 0.5))
+            seed_sets = [[int(u) for u in rng.choice(25, size=k, replace=False)]
+                         for k in (1, 2, 4)]
+            got = rwr_scores(ag, seed_sets, WalkParams(restart=c))
+            for j, seeds in enumerate(seed_sets):
+                ref = power_iteration(ag, seeds, c)
+                assert np.abs(got[:, j] - ref).max() < 1e-10
+
+    def test_idle_nodes_keep_exactly_their_restart_mass(self):
+        # nodes 3 and 4 have no edge on the interval
+        records = [(0, 1, 0, 1.0), (1, 2, 0, 2.0), (3, 4, 1, 1.0)]
+        g = TemporalGraph.from_records([str(i) for i in range(5)], 2, records)
+        ag = aggregate(g, Interval(0, 0))
+        s = rwr_scores(ag, [[0, 3, 4], [3], [1]])
+        assert s[3, 0] == 1 / 3 and s[4, 0] == 1 / 3
+        assert s[3, 1] == 1.0 and s[4, 1] == 0.0
+        assert s[3, 2] == 0.0 and s[4, 2] == 0.0
+        assert s.sum(axis=0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_sparse_factorization_matches_dense(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        g = random_instance(rng, 40, 3, density=0.1)
+        ag = agg(g)
+        seed_sets = [[0], [5, 9], [int(u) for u in range(0, 40, 7)]]
+        dense = rwr_scores(ag, seed_sets)
+        monkeypatch.setattr(refine, "DENSE_WALK_MAX_NODES", 0)
+        sparse = rwr_scores(ag, seed_sets)
+        assert np.abs(sparse - dense).max() < 1e-12
 
     def test_empty_seeds_rejected(self):
         g = clique_graph(3)
         with pytest.raises(ValueError):
-            rwr_scores(agg(g), [])
+            rwr_scores(agg(g), [[0], []])
 
     def test_restart_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             WalkParams(restart=0.0)
         with pytest.raises(ValueError):
             WalkParams(restart=1.0)
+
+    def test_seed_rankings_sort_each_walk(self):
+        rng = np.random.default_rng(43)
+        g = random_instance(rng, 18, 2, density=0.2)
+        ag = agg(g)
+        active = np.flatnonzero(ag.volumes > 0)
+        seeds = [int(u) for u in active[:4]]
+        scores = rwr_scores(ag, [[u] for u in seeds])
+        for j, ranking in enumerate(seed_rankings(ag, seeds)):
+            norm = {int(v): scores[v, j] / ag.volumes[v] for v in active}
+            assert ranking.tolist() == sorted(norm, key=lambda v: (-norm[v], v))
 
 
 class TestSweep:
@@ -130,7 +207,7 @@ class TestSweep:
     def test_no_evaluable_prefix_raises(self):
         # a length-1 ranking has no proper prefix to evaluate
         g = clique_graph(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(NoConnectedPrefixError):
             sweep(agg(g), [0], NormalizationConfig(0.0))
 
     def test_disconnected_prefixes_skipped_not_fatal(self):
@@ -197,7 +274,7 @@ class TestSweep:
             ranking = [int(x) for x in rng.permutation(9)]
             _, size, phi = sweep(agg(g), ranking, cfg)
             assert sweep(agg(g), ranking, cfg, limit=phi * 1.001)[1] == size
-            with pytest.raises(ValueError):
+            with pytest.raises(NoConnectedPrefixError):
                 sweep(agg(g), ranking, cfg, limit=phi)
 
     def test_no_worse_than_best_singleton(self):
