@@ -36,8 +36,6 @@ class WalkParams:
 @dataclass(frozen=True)
 class SweepResult:
     community: TemporalCommunity
-    sweep_index: int
-    walk_params: WalkParams
 
 
 def rwr_scores(ag: AggregatedGraph, seed_sets: Sequence[Iterable[int]],
@@ -89,7 +87,7 @@ def sweep(ag: AggregatedGraph, ranking: Sequence[int],
     """Minimum-conductance connected prefix of the ranking.
 
     Cut and volume of every prefix come from cumulative sums along the
-    ranking, connectivity from one minimum spanning forest; disconnected
+    ranking, connectivity from ``_connected_prefixes``; disconnected
     prefixes are skipped, not fatal. Ties go to the shorter prefix.
     Returns (nodes, prefix_length, phi); raises NoConnectedPrefixError when
     no connected prefix has phi below ``limit``.
@@ -97,7 +95,7 @@ def sweep(ag: AggregatedGraph, ranking: Sequence[int],
     ranking = np.asarray(ranking, dtype=np.int64)
     if len(ranking) == 0:
         raise ValueError("ranking must be nonempty")
-    if len(np.unique(ranking)) != len(ranking):
+    if np.bincount(ranking).max() > 1:
         raise ValueError("ranking contains duplicates")
     n = ag.n
     steps = min(len(ranking) - 1, n - 1)
@@ -122,7 +120,7 @@ def sweep(ag: AggregatedGraph, ranking: Sequence[int],
     pos = denom > 0
     phi[pos] = eta(ag.interval, cfg) * cut[pos] / denom[pos]
     ok = phi < limit if limit < math.inf else np.ones(steps, dtype=bool)
-    # the spanning forest is built only when some prefix could qualify
+    # connectivity is checked only when some prefix could qualify
     if ok.any():
         ok &= _connected_prefixes(ru, rv, steps)
     if not ok.any():
@@ -136,11 +134,15 @@ def _connected_prefixes(ru: np.ndarray, rv: np.ndarray,
     """Whether each prefix of ranks 0..i is connected, for i < steps, given
     the edges (ru, rv) among ranked nodes, ru < rv, once each.
 
-    An edge lies inside prefix i from step rv on. Weighted by that step, a
-    minimum spanning forest restricted to weights <= i spans the components
-    of prefix i (Kruskal), and, having no cycle, connects its i + 1 nodes
-    iff it has i edges.
+    When every ranked node after the first has an earlier neighbour, every
+    prefix is connected, by induction on its length. Otherwise: an edge lies
+    inside prefix i from step rv on. Weighted by that step, a minimum
+    spanning forest restricted to weights <= i spans the components of
+    prefix i (Kruskal), and, having no cycle, connects its i + 1 nodes iff
+    it has i edges.
     """
+    if np.bincount(rv, minlength=steps)[1:].all():
+        return np.ones(steps, dtype=bool)
     joins = sp.csr_matrix((rv + 1.0, (ru, rv)), shape=(steps, steps))
     tree = minimum_spanning_tree(joins)
     within = np.cumsum(np.bincount(tree.data.astype(np.int64) - 1,
@@ -210,10 +212,10 @@ def refine_bucket(g: TemporalGraph, bucket_entries: Sequence[tuple[int, int]],
     rest = rest[np.lexsort((rest, -norm[rest]))]
     ranking = np.concatenate([bucket_rank, rest])
 
-    nodes, size, _ = sweep(ag, ranking, cfg)
+    nodes, _, _ = sweep(ag, ranking, cfg)
     phi = conductance(g, nodes, iv, cfg)
     community = TemporalCommunity(nodes=nodes, interval=iv, phi=phi)
-    return SweepResult(community=community, sweep_index=size, walk_params=params)
+    return SweepResult(community=community)
 
 
 def seed_rankings(ag: AggregatedGraph, seeds: Sequence[int],

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -58,22 +58,17 @@ class WeightedMinHasher:
         """One (key, quantized level) sample per function."""
         if len(keys) == 0:
             raise ValueError("empty weighted set")
-        g = self.gammas[:, keys]
-        b = self.betas[:, keys]
-        t = np.floor(np.log(weights)[None, :] / g + b)
-        ln_a = self.ln_cs[:, keys] - g * (t - b) - g
-        idx = np.argmin(ln_a, axis=1)
-        rows = np.arange(self.r)
-        return keys[idx], t[rows, idx].astype(np.int64)
+        skeys, levels = self.sample_segments(keys, weights, np.zeros(1, np.int64),
+                                             np.array([len(keys)]))
+        return skeys[0], levels[0]
 
     def sample_segments(self, keys: np.ndarray, weights: np.ndarray,
                         starts: np.ndarray, seg_len: np.ndarray,
                         ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched sample() over many weighted sets laid out contiguously.
-
-        Row-for-row identical to calling sample() per segment: the same
-        elementwise formulas, and ties resolve to the first index within the
-        segment. Returns (keys, levels) of shape (n_segments, r).
+        """One (key, quantized level) sample per function for each of many
+        nonempty weighted sets laid out contiguously, segment i at
+        starts[i] with seg_len[i] elements; ties resolve to the first index
+        within the segment. Returns (keys, levels) of shape (n_segments, r).
         """
         g = self.gammas[:, keys]
         b = self.betas[:, keys]
@@ -123,9 +118,6 @@ class CompositeSignature:
     time_part: int
     graph_part: tuple[int, ...]
 
-    def sort_key(self):
-        return (self.scale, self.band, self.time_part, self.graph_part)
-
 
 @dataclass
 class Bucket:
@@ -142,17 +134,6 @@ class Bucket:
         nodes = {u for u, _ in self.entries}
         times = {t for _, t in self.entries}
         return len(self.entries) / (len(nodes) * len(times))
-
-    def sort_key(self):
-        """Descending consistency, then size; deterministic tail on the key."""
-        return (-self.fill_factor, -len(self.entries), self.key.sort_key())
-
-
-def sort_buckets(buckets: Iterable[Bucket]) -> list[Bucket]:
-    out = sorted(buckets, key=Bucket.sort_key)
-    for b in out:
-        b.entries.sort()
-    return out
 
 
 def scale_ladder(T: int) -> list[int]:
@@ -198,11 +179,14 @@ def hash_all(g: TemporalGraph, intervals, scales: Sequence[int], r: int, b: int,
     interval inside the window [t-s, t+s] can be that long). All b bands of
     one scale share a single hasher with b*r rows; rows are independent, so
     slicing them per band preserves the banding law.
+
+    A bucket holds the entries sharing one (scale, band, pivot index, r
+    minhash values) key, if there are at least ``min_entries``; one above
+    ``bucket_cap`` is split by median timestamp. Buckets come by descending
+    fill factor, then size, then ascending key, the parts of one split
+    bucket in split order; entries by ascending (node, timestamp).
     """
     intervals = list(intervals)
-    # keyed by (scale, band, time_part, packed-row bytes): cheaper to build
-    # than signature objects, which are materialized only for kept buckets
-    tables: dict[tuple, list[tuple[int, int]]] = {}
     if not intervals:
         return []
 
@@ -213,8 +197,9 @@ def hash_all(g: TemporalGraph, intervals, scales: Sequence[int], r: int, b: int,
     inc_eids = np.concatenate([np.arange(g.n_edges)] * 2)
     order = np.argsort(owner, kind="stable")
     owner, inc_keys, inc_eids = owner[order], inc_keys[order], inc_eids[order]
-    degree = np.bincount(owner, minlength=g.n) if len(owner) else np.zeros(g.n, int)
 
+    buckets: list[Bucket] = []
+    ranks: list[tuple[float, int, int]] = []  # (fill factor, size, scale)
     for s in scales:
         elig = _eligible_timestamps(g.T, intervals, s)
         if not elig.any():
@@ -223,10 +208,12 @@ def hash_all(g: TemporalGraph, intervals, scales: Sequence[int], r: int, b: int,
         graph_hasher = WeightedMinHasher(b * r, g.n, seed=[seed, s, 0])
         pivot_hashers = [TemporalPivotHasher(k, g.T, seed=[seed, s, 1, j])
                          for j in range(b)]
+        # per hashed timestamp: its active nodes and their packed samples of
+        # all b*r functions
+        hashed, nodes, packed_rows = [], [], []
         for t in np.flatnonzero(elig):
             t = int(t)
             snap = g.weights[:, t]
-            time_parts = [ph.pivot_hash(t) for ph in pivot_hashers]
             w = snap[inc_eids]
             live = w > 0
             keys_l, owner_l, w_l = inc_keys[live], owner[live], w[live]
@@ -234,8 +221,7 @@ def hash_all(g: TemporalGraph, intervals, scales: Sequence[int], r: int, b: int,
                 continue
             vols = np.bincount(owner_l, weights=w_l, minlength=g.n)
             active = np.flatnonzero(vols > 0)
-            # per node: its live neighbor keys followed by the self key, the
-            # same layout a per-node loop would build
+            # per node: its live neighbor keys followed by the self key
             deg_l = np.bincount(owner_l, minlength=g.n)
             seg_len = deg_l[active] + 1
             starts = np.zeros(len(active), dtype=np.int64)
@@ -251,32 +237,60 @@ def hash_all(g: TemporalGraph, intervals, scales: Sequence[int], r: int, b: int,
             keys[mask] = keys_l
             vals[mask] = w_l
             skeys, levels = graph_hasher.sample_segments(keys, vals, starts, seg_len)
-            packed = _pack64(skeys, levels)
-            width = 8 * r
-            nodes = active.tolist()
-            for j in range(b):
-                gp = np.ascontiguousarray(packed[:, j * r:(j + 1) * r]).tobytes()
-                tp = time_parts[j]
-                for i, u in enumerate(nodes):
-                    lo = i * width
-                    key = (s, j, tp, gp[lo:lo + width])
-                    lst = tables.get(key)
-                    if lst is None:
-                        tables[key] = [(u, t)]
-                    else:
-                        lst.append((u, t))
-
-    buckets = []
-    for key, entries in tables.items():
-        if len(entries) < min_entries:
+            hashed.append(t)
+            nodes.append(active)
+            packed_rows.append(_pack64(skeys, levels))
+        if not hashed:
             continue
-        s_, j_, tp_, gp_bytes = key
-        sig = CompositeSignature(
-            scale=s_, band=j_, time_part=tp_,
-            graph_part=tuple(int(x) for x in np.frombuffer(gp_bytes, np.uint64)),
-        )
-        buckets.extend(_split_oversized(Bucket(sig, entries), bucket_cap))
-    return sort_buckets(buckets)
+
+        # one row per (band, hashed timestamp, active node), band-major. Key:
+        # (band, pivot index in 1..k+1) as band * (k + 2) + index, then the
+        # band's r packed samples; entry: (node, timestamp) as node * T + t
+        counts = [len(a) for a in nodes]
+        m = sum(counts)
+        graph_part = (np.concatenate(packed_rows).reshape(m, b, r)
+                      .transpose(1, 0, 2).reshape(b * m, r))
+        time_parts = np.repeat([[ph.pivot_hash(t) for ph in pivot_hashers]
+                                for t in hashed], counts, axis=0)
+        band_time = (np.arange(b)[:, None] * (k + 2) + time_parts.T).ravel()
+        entry = np.tile(np.concatenate(nodes) * g.T + np.repeat(hashed, counts), b)
+        order = np.lexsort((entry, *graph_part.T[::-1], band_time))
+        graph_part, band_time, entry = graph_part[order], band_time[order], entry[order]
+        new = np.ones(b * m, dtype=bool)
+        new[1:] = ((band_time[1:] != band_time[:-1])
+                   | (graph_part[1:] != graph_part[:-1]).any(axis=1))
+        starts = np.flatnonzero(new)
+        size = np.diff(starts, append=b * m)
+        keep = size >= min_entries
+        if not keep.any():
+            continue
+        kept = np.repeat(keep, size)
+        heads = starts[keep]
+        band, time_part = np.divmod(band_time[heads], k + 2)
+        graph_part, size, new = graph_part[heads], size[keep], new[kept]
+        node, time = np.divmod(entry[kept], g.T)
+        # a bucket's entries run by node, then timestamp, each once
+        new_node = new.copy()
+        new_node[1:] |= node[1:] != node[:-1]
+        n_nodes = np.add.reduceat(new_node, np.flatnonzero(new))
+        n_times = np.bincount(np.unique((np.cumsum(new) - 1) * g.T + time) // g.T)
+        fill = size / (n_nodes * n_times)
+        node, time = node.tolist(), time.tolist()
+        hi = 0
+        for j, tp, gp, n_entries, ff in zip(
+                band.tolist(), time_part.tolist(), graph_part.tolist(),
+                size.tolist(), fill.tolist()):
+            lo, hi = hi, hi + n_entries
+            bucket = Bucket(CompositeSignature(s, j, tp, tuple(gp)),
+                            list(zip(node[lo:hi], time[lo:hi])))
+            for part in _split_oversized(bucket, bucket_cap):
+                buckets.append(part)
+                ranks.append((ff if part is bucket else part.fill_factor,
+                              len(part.entries), s))
+
+    # stable: ties keep the key order, and split order, of the list
+    fill, size, scale = np.array(ranks, dtype=np.float64).reshape(-1, 3).T
+    return [buckets[i] for i in np.lexsort((scale, -size, -fill))]
 
 
 # ---------------------------------------------------------------------------

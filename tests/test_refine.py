@@ -237,6 +237,35 @@ class TestSweep:
             assert_sweep_matches_oracle(g, [int(x) for x in rng.permutation(n)],
                                         cfg)
 
+    def test_certificate_and_forest_paths_match_oracle(self, monkeypatch):
+        # in BFS order every node after the first has an earlier neighbour,
+        # which certifies every prefix connected without the spanning
+        # forest; moving a non-neighbour of the root to second place breaks
+        # the certificate, so the same graph takes the forest path
+        forests = []
+        mst = refine.minimum_spanning_tree
+        monkeypatch.setattr(refine, "minimum_spanning_tree",
+                            lambda *a: forests.append(1) or mst(*a))
+        rng = np.random.default_rng(97)
+        cfg = NormalizationConfig(0.2)
+        moved_trials = 0
+        for trial in range(20):
+            n = int(rng.integers(5, 14))
+            g = connected_random_instance(rng, n, 2, density=0.25)
+            G = nx.from_scipy_sparse_array(agg(g).adjacency)
+            root = int(rng.integers(n))
+            bfs = [root] + [int(v) for _, v in nx.bfs_edges(G, root)]
+            assert_sweep_matches_oracle(g, bfs, cfg)
+            assert len(forests) == moved_trials
+            far = [v for v in bfs[2:] if not G.has_edge(root, v)]
+            if not far:
+                continue
+            moved = [root, far[0]] + [v for v in bfs[1:] if v != far[0]]
+            assert_sweep_matches_oracle(g, moved, cfg)
+            moved_trials += 1
+            assert len(forests) == moved_trials
+        assert moved_trials >= 10
+
     def test_low_phi_prefixes_disconnected(self):
         # six separate components, each a clique of 4 + b nodes with one
         # pendant node; ranked clique by clique in growing size, pendants

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clique_graph, cycle_graph
+from conftest import clique_graph, cycle_graph, random_instance
 from tempocom.graph import Interval
 from tempocom.tlsh import (Bucket, CompositeSignature, TemporalPivotHasher,
-                           WeightedMinHasher, _split_oversized,
-                           composite_collision_count, hash_all,
-                           minhash_collision_count, optimal_pivots,
-                           pivot_collision_count, scale_ladder, sort_buckets,
+                           WeightedMinHasher, _eligible_timestamps, _pack64,
+                           _split_oversized, composite_collision_count,
+                           hash_all, minhash_collision_count, optimal_pivots,
+                           pivot_collision_count, scale_ladder,
                            weighted_jaccard)
 
 
@@ -217,11 +217,14 @@ class TestBuckets:
         assert Bucket(self.sig(), entries).fill_factor == pytest.approx(5 / 9)
 
     def test_sort_by_consistency_then_size(self):
-        b1 = Bucket(self.sig(time_part=1), [(0, 0), (0, 1), (1, 0), (1, 1)])
-        b2 = Bucket(self.sig(time_part=2), [(0, 0), (1, 1), (2, 0)])
-        b3 = Bucket(self.sig(time_part=3), [(0, 0), (1, 0)])
-        out = sort_buckets([b3, b2, b1])
-        assert [b.key.time_part for b in out[:2]] == [1, 3]
+        # hash_all ranks buckets by descending fill factor, then size, then
+        # ascending key
+        g = random_instance(np.random.default_rng(3), 10, 8, density=0.3)
+        buckets = hash_all(g, [Interval(0, 7)], [1, 2, 4], r=1, b=3, seed=4)
+        keys = [(-bk.fill_factor, -len(bk.entries), bk.key.scale, bk.key.band,
+                 bk.key.time_part, bk.key.graph_part) for bk in buckets]
+        assert len({key[0] for key in keys}) > 1
+        assert keys == sorted(keys)
 
     def test_oversized_bucket_split_by_median_timestamp(self):
         entries = [(u, t) for u in range(4) for t in range(8)]
@@ -276,3 +279,111 @@ class TestHashAll:
                            min_entries=1)
         ts = {t for b in buckets for _, t in b.entries}
         assert ts and max(ts) <= 3
+
+
+def dict_loop_hash_all(g, intervals, scales, r, b, seed, bucket_cap,
+                       min_entries):
+    """Reference bucket table: one dict of entry lists filled one (node,
+    timestamp, band) at a time, then a stable sort of the buckets by
+    (-fill factor, -size, key). Hashing per timestamp is hash_all's."""
+    intervals = list(intervals)
+    tables = {}
+    if not intervals:
+        return []
+    owner = np.concatenate([g.edge_u, g.edge_v])
+    inc_keys = np.concatenate([g.edge_v, g.edge_u])
+    inc_eids = np.concatenate([np.arange(g.n_edges)] * 2)
+    order = np.argsort(owner, kind="stable")
+    owner, inc_keys, inc_eids = owner[order], inc_keys[order], inc_eids[order]
+    for s in scales:
+        elig = _eligible_timestamps(g.T, intervals, s)
+        if not elig.any():
+            continue
+        k = optimal_pivots(min(2 * s, g.T), g.T)
+        graph_hasher = WeightedMinHasher(b * r, g.n, seed=[seed, s, 0])
+        pivot_hashers = [TemporalPivotHasher(k, g.T, seed=[seed, s, 1, j])
+                         for j in range(b)]
+        for t in np.flatnonzero(elig):
+            t = int(t)
+            time_parts = [ph.pivot_hash(t) for ph in pivot_hashers]
+            w = g.weights[:, t][inc_eids]
+            live = w > 0
+            keys_l, owner_l, w_l = inc_keys[live], owner[live], w[live]
+            if len(owner_l) == 0:
+                continue
+            vols = np.bincount(owner_l, weights=w_l, minlength=g.n)
+            active = np.flatnonzero(vols > 0)
+            seg_len = np.bincount(owner_l, minlength=g.n)[active] + 1
+            starts = np.zeros(len(active), dtype=np.int64)
+            np.cumsum(seg_len[:-1], out=starts[1:])
+            total = int(seg_len.sum())
+            keys = np.empty(total, dtype=np.int64)
+            vals = np.empty(total, dtype=np.float64)
+            self_pos = starts + seg_len - 1
+            keys[self_pos] = active
+            vals[self_pos] = vols[active]
+            mask = np.ones(total, dtype=bool)
+            mask[self_pos] = False
+            keys[mask] = keys_l
+            vals[mask] = w_l
+            packed = _pack64(*graph_hasher.sample_segments(keys, vals, starts,
+                                                           seg_len))
+            for j in range(b):
+                for i, u in enumerate(active.tolist()):
+                    gp = tuple(int(x) for x in packed[i, j * r:(j + 1) * r])
+                    tables.setdefault((s, j, time_parts[j], gp), []).append((u, t))
+    buckets = []
+    for (s, j, tp, gp), entries in tables.items():
+        if len(entries) >= min_entries:
+            buckets.extend(_split_oversized(
+                Bucket(CompositeSignature(s, j, tp, gp), entries), bucket_cap))
+    out = sorted(buckets, key=lambda bk: (-bk.fill_factor, -len(bk.entries),
+                                          (bk.key.scale, bk.key.band,
+                                           bk.key.time_part, bk.key.graph_part)))
+    for bk in out:
+        bk.entries.sort()
+    return out
+
+
+def assert_same_buckets(got, want):
+    assert [bk.key for bk in got] == [bk.key for bk in want]
+    assert [bk.entries for bk in got] == [bk.entries for bk in want]
+
+
+class TestHashAllMatchesDictLoop:
+    @pytest.mark.parametrize("r, b, scales, min_entries, seed", [
+        (1, 1, [1], 1, 0),
+        (2, 2, [1, 2, 4], 2, 3),
+        (3, 4, [2, 8], 3, 11),
+        (1, 3, [4, 1, 2], 2, 5),
+        (4, 2, [1, 2, 4, 8], 1, 7),
+    ])
+    @pytest.mark.parametrize("bucket_cap", [4096, 3])
+    def test_random_instances(self, r, b, scales, min_entries, seed,
+                              bucket_cap):
+        rng = np.random.default_rng([seed, bucket_cap])
+        for trial in range(4):
+            g = random_instance(rng, int(rng.integers(3, 12)),
+                                int(rng.integers(1, 16)),
+                                density=float(rng.uniform(0.1, 0.8)))
+            intervals = []
+            for _ in range(int(rng.integers(1, 4))):
+                lo = int(rng.integers(0, g.T))
+                intervals.append(Interval(lo, int(rng.integers(lo, g.T))))
+            args = (g, intervals, scales, r, b, seed)
+            assert_same_buckets(
+                hash_all(*args, bucket_cap=bucket_cap, min_entries=min_entries),
+                dict_loop_hash_all(*args, bucket_cap, min_entries))
+
+    def test_split_parts_tied_on_fill_and_size(self):
+        # a static cycle: every node hashes alike at every timestamp, so a
+        # bucket is a full node-by-time block and splits into halves equal
+        # in fill factor and size
+        g = cycle_graph(6, T=8)
+        args = (g, [Interval(0, 7)], [1, 4], 1, 2, 3)
+        want = dict_loop_hash_all(*args, bucket_cap=4, min_entries=2)
+        tied = [(x, y) for x, y in zip(want, want[1:])
+                if x.key == y.key and len(x.entries) == len(y.entries)
+                and x.fill_factor == y.fill_factor]
+        assert tied
+        assert_same_buckets(hash_all(*args, bucket_cap=4, min_entries=2), want)
