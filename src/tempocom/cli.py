@@ -34,6 +34,13 @@ def _community_record(g, c) -> dict:
     }
 
 
+def _write_verdicts(fh, verdicts) -> None:
+    fh.write("start,length,status,bound\n")
+    for v in verdicts:
+        fh.write(f"{v.interval.start},{v.interval.length},"
+                 f"{v.status},{v.bound_value:.12g}\n")
+
+
 def cmd_detect(args) -> int:
     g = load(args.input)
     cfg = RunConfig(alpha=args.alpha, scale_base=args.scale_base, beta=args.beta,
@@ -47,10 +54,7 @@ def cmd_detect(args) -> int:
         for c in state.communities:
             fh.write(_json_line(_community_record(g, c)) + "\n")
     with open(out / "verdicts.csv", "w", encoding="utf-8") as fh:
-        fh.write("start,length,status,bound\n")
-        for v in state.verdicts:
-            fh.write(f"{v.interval.start},{v.interval.length},"
-                     f"{v.status},{v.bound_value:.12g}\n")
+        _write_verdicts(fh, state.verdicts)
     with open(out / "run.json", "w", encoding="utf-8") as fh:
         json.dump({
             "config": {
@@ -105,9 +109,7 @@ def cmd_prune(args) -> int:
     verdicts, phi_star = pruner.judge(
         phi_star, on_open=sweep_open_intervals(g, cfg.norm()))
     print(f"verdicts judged against phi_star={phi_star:.12g}", file=sys.stderr)
-    print("start,length,status,bound")
-    for v in verdicts:
-        print(f"{v.interval.start},{v.interval.length},{v.status},{v.bound_value:.12g}")
+    _write_verdicts(sys.stdout, verdicts)
     return 0
 
 

@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .graph import Interval, NormalizationConfig, TemporalGraph, eta
+from .graph import Interval, NormalizationConfig, TemporalGraph, aggregate, eta
 from .spectral import EigResult, EigenSolveError, interval_lambda2
 
 STATUS_GROUP_PRUNED = "group-pruned"
@@ -48,31 +48,34 @@ def _levels(T: int, base: int) -> list[int]:
 
 
 class BoundsTable:
-    """Precomputed lambda2 at exponentially scaled aligned blocks, plus O(1)
-    node-volume interval queries via prefix sums."""
+    """Precomputed lambda2 at exponentially scaled aligned blocks, plus node
+    volumes of any interval as the sum of its blocks' volumes."""
 
     def __init__(self, g: TemporalGraph, scale_base: int,
                  entries: dict[Interval, Optional[EigResult]]):
         self.g = g
-        self.scale_base = scale_base
         self.T = g.T
         self.entries = entries
-        self.volume_prefix = g.node_volume_prefix()
         self._lengths_desc = sorted(_levels(g.T, scale_base), reverse=True)
         self._decomp_cache: dict[Interval, tuple[Interval, ...]] = {}
-        self._block_vol_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def node_volumes(self, start: int, end: int) -> np.ndarray:
-        return self.volume_prefix[:, end + 1] - self.volume_prefix[:, start]
+        self._block_vol_cache: dict[Interval, np.ndarray] = {}
 
     def block_volumes(self, block: Interval) -> np.ndarray:
-        """node_volumes for precomputed blocks, cached (O(T) distinct blocks)."""
-        key = (block.start, block.end)
-        vols = self._block_vol_cache.get(key)
+        """Node volumes of a decomposition block, cached (at most 2T
+        distinct blocks)."""
+        vols = self._block_vol_cache.get(block)
         if vols is None:
-            vols = self._block_vol_cache[key] = self.node_volumes(block.start,
-                                                                  block.end)
+            vols = self._block_vol_cache[block] = aggregate(self.g, block).volumes
         return vols
+
+    def node_volumes(self, iv: Interval) -> np.ndarray:
+        """Node volumes over iv, summed over the blocks of its decomposition:
+        nonnegative terms, so no volume cancels and none is below a block's."""
+        blocks = self.decompose(iv)
+        vol = self.block_volumes(blocks[0]).copy()
+        for block in blocks[1:]:
+            vol += self.block_volumes(block)
+        return vol
 
     def block_lambda2(self, block: Interval) -> float:
         """0 for unusable entries: a vacuous but sound contribution."""
@@ -145,7 +148,7 @@ def _block_sum(bt: BoundsTable, blocks: Interval, volumes: Interval) -> float:
     """Sum over the decomposition of ``blocks`` of each block's lambda2
     times its min node-volume ratio against ``volumes``, over the nodes of
     positive volume in ``volumes``."""
-    vol = bt.node_volumes(volumes.start, volumes.end)
+    vol = bt.node_volumes(volumes)
     active = vol > 0
     if not active.any():
         return 0.0

@@ -52,7 +52,7 @@ class TestLoad:
         with pytest.raises(GraphFormatError, match="line 3: weight 6e307"):
             load(write(tmp_path, "tgraph 4 1\nb c 0 6e307\nc b 0 6e307\n"))
         g = load(write(tmp_path, "tgraph 4 1\nb c 0 6e307\n"))
-        assert np.isfinite(g.node_volume_prefix()).all()
+        assert np.isfinite(aggregate(g, g.full_interval()).volumes).all()
 
     def test_timestamp_beyond_declared_rejected(self, tmp_path):
         with pytest.raises(GraphFormatError, match="timestamp 4"):
@@ -127,19 +127,22 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate(g, Interval(0, 2))
 
-    def test_prefix_sums_match_direct_summation(self):
-        # integer-valued weights make the prefix-sum path exactly equal to
-        # direct summation; the long timeline activates the prefix-sum path
+    def test_interval_sums_match_direct_summation(self):
+        # a huge weight just outside the interval must not cancel the small
+        # one inside it, on a timeline of any length
+        g = TemporalGraph.from_records(["0", "1"], 70,
+                                       [(0, 1, 0, 1e17), (0, 1, 1, 1.0)])
+        assert g.interval_edge_weights(Interval(1, 1)).tolist() == [1.0]
+        assert g.interval_edge_weights(Interval(0, 69)).tolist() == [1e17 + 1.0]
         rng = np.random.default_rng(11)
         T = 100
         records = [(u, v, t, float(rng.integers(1, 9)))
                    for (u, v) in [(0, 1), (1, 2), (0, 2)]
                    for t in range(T)]
         g = TemporalGraph.from_records(["0", "1", "2"], T, records)
-        assert g._cum is not None
         for (a, b) in [(0, 0), (3, 77), (0, T - 1), (50, 51)]:
-            direct = g.weights[:, a:b + 1].sum(axis=1)
-            assert np.array_equal(g.interval_edge_weights(Interval(a, b)), direct)
+            direct = [g.weights[e, a:b + 1].sum() for e in range(g.n_edges)]
+            assert g.interval_edge_weights(Interval(a, b)).tolist() == direct
 
 
 class TestEta:

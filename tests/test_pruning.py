@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import tempocom.spectral as spectral
 from conftest import clique_graph, connected_random_instance, cycle_graph
 from tempocom.graph import (Interval, NormalizationConfig, TemporalGraph,
-                            aggregate)
+                            aggregate, load)
 from tempocom.oracle import brute_force_min_phi
 from tempocom.pruning import (PRUNED_STATUSES, STATUS_EXACT_PRUNED,
                               STATUS_UNPRUNED, Pruner, PruningGroup,
@@ -116,16 +116,25 @@ class TestCompositeBound:
         assert composite_bound(bt, iv, cfg) == pytest.approx(
             bt.entries[iv].lambda2, rel=1e-12)
 
-    def test_dominated_by_exact_lambda2(self):
+    def test_dominated_by_exact_lambda2(self, tmp_path):
         rng = np.random.default_rng(41)
+        cases = []
         for trial in range(25):
             n = int(rng.integers(3, 13))
             T = int(rng.integers(2, 9))
             g = connected_random_instance(rng, n, T, density=0.4)
-            bt = precompute(g, 2)
             start = int(rng.integers(0, T))
             end = int(rng.integers(start, T))
-            iv = Interval(start, min(end, T - 1))
+            cases.append((g, Interval(start, min(end, T - 1))))
+        # a huge weight outside [1, 2] must not cancel node a's volume on
+        # [1, 2] to 0 and drop it from the composite bound's min (which
+        # would read 2.0 against an exact lambda2 of 1.0)
+        path = tmp_path / "g.tgraph"
+        path.write_text("tgraph 3 3\na b 0 1e17\nb c 1 2\na b 2 3\n",
+                        encoding="utf-8")
+        cases.append((load(path), Interval(1, 2)))
+        for g, iv in cases:
+            bt = precompute(g, 2)
             exact = lambda2_dense(aggregate(g, iv))
             assert composite_lambda2_bound(bt, iv) <= exact + 1e-9
 
