@@ -12,7 +12,7 @@ from .graph import (GraphFormatError, Interval, NormalizationConfig, eta,
                     load)
 from .driver import RunConfig, detect, estimate_initial, sweep_open_intervals
 from .oracle import InstanceTooLargeError, brute_force_best
-from .pruning import Pruner, build_groups, precompute
+from .pruning import Pruner, Verdicts, build_groups, precompute
 from .spectral import EigenSolveError, interval_lambda2
 from .synth import SynthConfig, generate
 from .tlsh import composite_collision_count, weighted_jaccard
@@ -105,9 +105,12 @@ def cmd_prune(args) -> int:
     phi_star = args.phi_star
     if phi_star is None:
         phi_star, _, _ = estimate_initial(g, bt, cfg)
-    pruner = Pruner(bt, build_groups(g.T, cfg.beta), cfg.norm())
-    verdicts, phi_star = pruner.judge(
-        phi_star, on_open=sweep_open_intervals(g, cfg.norm()))
+    # a zero incumbent is optimal already: detect's all-unpruned table
+    verdicts = Verdicts(g.T)
+    if phi_star != 0:
+        pruner = Pruner(bt, build_groups(g.T, cfg.beta), cfg.norm())
+        verdicts, phi_star = pruner.judge(
+            phi_star, on_open=sweep_open_intervals(g, cfg.norm()))
     print(f"verdicts judged against phi_star={phi_star:.12g}", file=sys.stderr)
     _write_verdicts(sys.stdout, verdicts)
     return 0

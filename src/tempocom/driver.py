@@ -12,8 +12,8 @@ import numpy as np
 
 from .graph import (Interval, NormalizationConfig, TemporalCommunity,
                     TemporalGraph, aggregate, eta)
-from .pruning import (BoundsTable, PruneVerdict, Pruner, STATUS_PROBED,
-                      STATUS_UNPRUNED, build_groups, precompute)
+from .pruning import (PROBED, UNPRUNED, BoundsTable, Pruner, Verdicts,
+                      build_groups, precompute)
 from .refine import (NoConnectedPrefixError, WalkParams, fiedler_sweep,
                      refine_bucket, rwr_scores, seed_rankings, sweep)
 from .spectral import EigResult
@@ -55,7 +55,7 @@ class BucketDecision:
 class DetectionState:
     phi_star: float
     communities: list[TemporalCommunity]
-    verdicts: list[PruneVerdict]
+    verdicts: Verdicts
     config: RunConfig
     bucket_log: list[BucketDecision] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
@@ -155,14 +155,6 @@ def sweep_open_intervals(g: TemporalGraph, norm: NormalizationConfig,
     return on_open
 
 
-def _mark_probes(verdicts: list[PruneVerdict],
-                 probes: list[Interval]) -> list[PruneVerdict]:
-    probe_set = set(probes)
-    return [v._replace(status=STATUS_PROBED)
-            if v.status == STATUS_UNPRUNED and v.interval in probe_set else v
-            for v in verdicts]
-
-
 def detect(g: TemporalGraph, cfg: RunConfig) -> DetectionState:
     """Run the full pipeline and return ranked communities plus verdicts.
 
@@ -185,22 +177,18 @@ def detect(g: TemporalGraph, cfg: RunConfig) -> DetectionState:
 
     t0 = time.perf_counter()
     pruner = Pruner(bt, build_groups(g.T, cfg.beta), norm)
+    # a zero-conductance community is globally optimal already: nothing is
+    # left to search, and the fresh table, all unpruned, is the verdict
+    verdicts = Verdicts(g.T)
     judged = phi_star > 0
     if judged:
         verdicts, phi_star = pruner.judge(
             phi_star, on_open=sweep_open_intervals(g, norm, results))
-    else:
-        # a zero-conductance community is globally optimal already; nothing
-        # left to search
-        verdicts = [PruneVerdict(Interval(t, t2), STATUS_UNPRUNED, 0.0)
-                    for t in range(g.T) for t2 in range(t, g.T)]
-    verdicts = _mark_probes(verdicts, probes)
     timings["prune"] = time.perf_counter() - t0
 
     bucket_log: list[BucketDecision] = []
     if phi_star > 0:
-        open_intervals = [v.interval for v in verdicts
-                          if v.status in (STATUS_UNPRUNED, STATUS_PROBED)]
+        open_intervals = verdicts.intervals(verdicts.code == UNPRUNED)
         t0 = time.perf_counter()
         buckets = hash_all(g, open_intervals, scale_ladder(g.T),
                            r=cfg.rows, b=cfg.bands, seed=cfg.seed,
@@ -266,7 +254,8 @@ def detect(g: TemporalGraph, cfg: RunConfig) -> DetectionState:
         # refinement may have lowered the incumbent since the verdicts were
         # judged; pruning is antitone in it, so judge them again
         verdicts, _ = pruner.judge(phi_star)
-        verdicts = _mark_probes(verdicts, probes)
+    at = [i for i in map(verdicts.index, probes) if verdicts.code[i] == UNPRUNED]
+    verdicts.code[at] = PROBED
     return DetectionState(phi_star=phi_star, communities=ranked,
                           verdicts=verdicts, config=cfg,
                           bucket_log=bucket_log, timings=timings)

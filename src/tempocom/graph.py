@@ -268,49 +268,57 @@ def load(path) -> TemporalGraph:
             labels.append(tok)
         return index[tok]
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if header is None:
-                if len(parts) != 3 or parts[0] != "tgraph":
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if header is None:
+                    if len(parts) != 3 or parts[0] != "tgraph":
+                        raise GraphFormatError(
+                            f"line {lineno}: expected header 'tgraph <n_nodes> <T>'")
+                    try:
+                        header = (int(parts[1]), int(parts[2]))
+                    except ValueError as exc:
+                        raise GraphFormatError(f"line {lineno}: bad header counts") from exc
+                    if header[0] < 1 or header[1] < 1:
+                        raise GraphFormatError(f"line {lineno}: counts must be positive")
+                    continue
+                if len(parts) != 4:
                     raise GraphFormatError(
-                        f"line {lineno}: expected header 'tgraph <n_nodes> <T>'")
+                        f"line {lineno}: expected '<u> <v> <t> <w>', got {line!r}")
+                n_nodes, timeline = header
                 try:
-                    header = (int(parts[1]), int(parts[2]))
+                    t = int(parts[2])
+                    w = float(parts[3])
                 except ValueError as exc:
-                    raise GraphFormatError(f"line {lineno}: bad header counts") from exc
-                if header[0] < 1 or header[1] < 1:
-                    raise GraphFormatError(f"line {lineno}: counts must be positive")
-                continue
-            if len(parts) != 4:
-                raise GraphFormatError(
-                    f"line {lineno}: expected '<u> <v> <t> <w>', got {line!r}")
-            n_nodes, timeline = header
-            try:
-                t = int(parts[2])
-                w = float(parts[3])
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: bad timestamp or weight") from exc
-            if parts[0] == parts[1]:
-                raise GraphFormatError(f"line {lineno}: self-loop on {parts[0]!r}")
-            if not (0 <= t < timeline):
-                raise GraphFormatError(
-                    f"line {lineno}: timestamp {t} outside [0, {timeline - 1}]")
-            if not (w > 0):
-                raise GraphFormatError(f"line {lineno}: non-positive weight {w}")
-            # every merged weight, aggregate and volume is at most twice the
-            # total, so a finite doubled total keeps the solvers finite
-            total += w
-            if math.isinf(2.0 * total):
-                raise GraphFormatError(
-                    f"line {lineno}: weight {parts[3]} takes the total "
-                    "volume past the float range")
-            u = node_id(parts[0], lineno, n_nodes)
-            v = node_id(parts[1], lineno, n_nodes)
-            records.append((u, v, t, w))
+                    raise GraphFormatError(f"line {lineno}: bad timestamp or weight") from exc
+                if parts[0] == parts[1]:
+                    raise GraphFormatError(f"line {lineno}: self-loop on {parts[0]!r}")
+                if not (0 <= t < timeline):
+                    raise GraphFormatError(
+                        f"line {lineno}: timestamp {t} outside [0, {timeline - 1}]")
+                if not (w > 0):
+                    raise GraphFormatError(f"line {lineno}: non-positive weight {w}")
+                # every merged weight, aggregate and volume is at most twice the
+                # total, so a finite doubled total keeps the solvers finite
+                total += w
+                if math.isinf(2.0 * total):
+                    raise GraphFormatError(
+                        f"line {lineno}: weight {parts[3]} takes the total "
+                        "volume past the float range")
+                u = node_id(parts[0], lineno, n_nodes)
+                v = node_id(parts[1], lineno, n_nodes)
+                records.append((u, v, t, w))
+    except UnicodeDecodeError as exc:
+        # a second read, only on failure, finds the line of the first
+        # undecodable byte, which surrogateescape maps to U+DC80..U+DCFF
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            lineno = next(i for i, raw in enumerate(fh, start=1)
+                          if any("\udc80" <= c <= "\udcff" for c in raw))
+        raise GraphFormatError(f"line {lineno}: not valid UTF-8") from exc
 
     if header is None:
         raise GraphFormatError("missing 'tgraph' header line")

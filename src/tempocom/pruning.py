@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from copy import deepcopy
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -20,6 +21,10 @@ STATUS_PROBED = "probed"
 
 PRUNED_STATUSES = frozenset({STATUS_GROUP_PRUNED, STATUS_COMPOSITE_PRUNED,
                              STATUS_EXACT_PRUNED})
+# a verdict's status is stored as its index in STATUSES
+STATUSES = (STATUS_UNPRUNED, STATUS_GROUP_PRUNED, STATUS_COMPOSITE_PRUNED,
+            STATUS_EXACT_PRUNED, STATUS_PROBED)
+UNPRUNED, GROUP_PRUNED, COMPOSITE_PRUNED, EXACT_PRUNED, PROBED = range(5)
 
 
 @dataclass(frozen=True)
@@ -39,6 +44,34 @@ class PruneVerdict(NamedTuple):
     interval: Interval
     status: str
     bound_value: float
+
+
+class Verdicts:
+    """A status code and a halved bound for every interval of a T-step
+    timeline, in (start, end) order, the order of np.triu_indices(T). A fresh
+    table is all unpruned with bound 0. Iterating it yields PruneVerdicts."""
+
+    def __init__(self, T: int):
+        self.T = T
+        self.code = np.zeros(T * (T + 1) // 2, dtype=np.int8)
+        self.bound = np.zeros(len(self.code))
+
+    def index(self, iv: Interval) -> int:
+        """Position of iv in the table."""
+        return iv.start * self.T - iv.start * (iv.start - 1) // 2 + iv.span
+
+    def intervals(self, at: np.ndarray) -> list[Interval]:
+        starts, ends = np.triu_indices(self.T)
+        return [Interval(s, e) for s, e in
+                zip(starts[at].tolist(), ends[at].tolist())]
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def __iter__(self):
+        for iv, c, b in zip(self.intervals(slice(None)), self.code.tolist(),
+                            self.bound.tolist()):
+            yield PruneVerdict(iv, STATUSES[c], b)
 
 
 def _levels(T: int, base: int) -> list[int]:
@@ -218,51 +251,30 @@ def _half(x: float) -> float:
 
 
 def prune_all(bt: BoundsTable, groups: list[PruningGroup], phi_star: float,
-              cfg: NormalizationConfig,
-              use_groups: bool = True) -> list[PruneVerdict]:
+              cfg: NormalizationConfig, use_groups: bool = True) -> Verdicts:
     """Verdict for every interval: group test first, survivors tested with
     their own composite bound. Comparisons are strict so an interval whose
     bound exactly equals the incumbent (possible when the spectral bound is
     tight) is never discarded. Monotone in phi_star."""
     if not (phi_star > 0) or math.isinf(phi_star):
         raise ValueError("phi_star must be a finite positive incumbent conductance")
-    T = bt.T
-    # verdicts land at offsets[start] + (end - start), already in
-    # (start, end) order, so no final sort is needed
-    offsets = [0] * T
-    acc = 0
-    for t in range(T):
-        offsets[t] = acc
-        acc += T - t
-    out: list = [None] * acc
-
-    for t in range(T):
-        iv = Interval(t, t)
-        cb = _half(composite_bound(bt, iv, cfg))
-        status = STATUS_COMPOSITE_PRUNED if cb > phi_star else STATUS_UNPRUNED
-        out[offsets[t]] = PruneVerdict(iv, status, cb)
-
-    for grp in groups:
-        gb = _half(group_bound(bt, grp, cfg)) if use_groups else -math.inf
-        base = offsets[grp.start] - grp.start
+    out = Verdicts(bt.T)
+    grouped = np.zeros(len(out), dtype=bool)
+    for grp in groups if use_groups else ():
+        gb = _half(group_bound(bt, grp, cfg))
         if gb > phi_star:
-            start = grp.start
-            out[base + grp.prefix_end:base + grp.group_end + 1] = [
-                PruneVerdict(Interval(start, end), STATUS_GROUP_PRUNED, gb)
-                for end in range(grp.prefix_end, grp.group_end + 1)]
-            continue
-        for end in range(grp.prefix_end, grp.group_end + 1):
-            iv = Interval(grp.start, end)
-            cb = _half(composite_bound(bt, iv, cfg))
-            status = STATUS_COMPOSITE_PRUNED if cb > phi_star else STATUS_UNPRUNED
-            out[base + end] = PruneVerdict(iv, status, cb)
-
+            # a group's members [start, end] sit side by side in the table
+            lo = out.index(Interval(grp.start, grp.prefix_end))
+            hi = lo + grp.group_end - grp.prefix_end + 1
+            out.bound[lo:hi], grouped[lo:hi] = gb, True
+    # single timestamps, which no group holds, and members of groups that
+    # do not prune
+    rest = np.flatnonzero(~grouped)
+    out.bound[rest] = [_half(composite_bound(bt, iv, cfg))
+                       for iv in out.intervals(rest)]
+    out.code[out.bound > phi_star] = COMPOSITE_PRUNED
+    out.code[grouped] = GROUP_PRUNED
     return out
-
-
-def _verdict_index(T: int, iv: Interval) -> int:
-    """Position of iv in the (start, end)-ordered verdict list."""
-    return iv.start * T - iv.start * (iv.start - 1) // 2 + iv.span
 
 
 class Pruner:
@@ -285,7 +297,7 @@ class Pruner:
         self.exact: dict[Interval, float] = {
             iv: self._exact_half(iv, res) for iv, res in bt.entries.items()
             if res is not None}
-        self._base: list[PruneVerdict] | None = None
+        self._base: Verdicts | None = None
         self._base_phi = math.inf
 
     def _exact_half(self, iv: Interval, res: EigResult) -> float:
@@ -310,12 +322,12 @@ class Pruner:
     def half_bound(self, iv: Interval) -> float:
         """Best known halved lower bound on any conductance within iv, from
         the last judgement's tiers; no new solve."""
-        base = self._base[_verdict_index(self.bt.T, iv)].bound_value
+        base = self._base.bound[self._base.index(iv)].item()
         return max(base, self.exact.get(iv, -math.inf))
 
     def judge(self, phi_star: float,
               on_open: Callable[[Interval, EigResult, float], float] | None = None,
-              ) -> tuple[list[PruneVerdict], float]:
+              ) -> tuple[Verdicts, float]:
         """Verdicts for every interval against the incumbent, which is
         returned with them.
 
@@ -329,10 +341,12 @@ class Pruner:
         if self._base is None or phi_star > self._base_phi:
             self._base = prune_all(self.bt, self.groups, phi_star, self.cfg)
             self._base_phi = phi_star
-        pending = sorted((v.bound_value, v.interval) for v in self._base
-                         if v.status not in PRUNED_STATUSES)
-        for cb, iv in pending:
-            if cb > phi_star or iv in self.exact:
+        out = deepcopy(self._base)
+        pending = np.flatnonzero(out.code == UNPRUNED)
+        pending = pending[np.argsort(out.bound[pending], kind="stable")]
+        cb, ivs = out.bound[pending], out.intervals(pending)
+        for bound, iv in zip(cb.tolist(), ivs):
+            if bound > phi_star or iv in self.exact:
                 continue
             res = self._solve(iv)
             # a community inside iv has conductance >= the exact bound, so
@@ -340,14 +354,11 @@ class Pruner:
             if on_open is not None and res is not None \
                     and self.exact[iv] <= phi_star:
                 phi_star = min(phi_star, on_open(iv, res, phi_star))
-        return [self._verdict(v, phi_star) for v in self._base], phi_star
-
-    def _verdict(self, v: PruneVerdict, phi_star: float) -> PruneVerdict:
-        if v.status in PRUNED_STATUSES:
-            return v
-        if v.bound_value > phi_star:
-            return v._replace(status=STATUS_COMPOSITE_PRUNED)
-        eb = self.exact_bound(v.interval)
-        if eb > phi_star:
-            return v._replace(status=STATUS_EXACT_PRUNED, bound_value=eb)
-        return v._replace(bound_value=max(v.bound_value, eb))
+        # the incumbent only fell, so every interval left open by the
+        # composite bound has been solved
+        eb = np.array([self.exact.get(iv, -math.inf) for iv in ivs])
+        composite = cb > phi_star
+        out.code[pending[composite]] = COMPOSITE_PRUNED
+        out.code[pending[~composite & (eb > phi_star)]] = EXACT_PRUNED
+        out.bound[pending] = np.where(composite, cb, np.fmax(cb, eb))
+        return out, phi_star

@@ -77,6 +77,25 @@ class TestPruneBoundsOracle:
         assert {line.split(",")[2] for line in out[1:]} <= {
             "group-pruned", "composite-pruned", "exact-pruned", "unpruned"}
 
+    @pytest.mark.parametrize("phi_star", [[], ["--phi-star", "0"]])
+    def test_prune_zero_incumbent_writes_the_zero_table(self, tmp_path, capsys,
+                                                        phi_star):
+        # two triangles at timestamp 0: a zero-conductance community, which
+        # detect accepts as optimal; prune must too
+        path = tmp_path / "zero.tgraph"
+        path.write_text("tgraph 6 2\na b 0 1\nb c 0 1\na c 0 1\nd e 0 1\n"
+                        "e f 0 1\nd f 0 1\na b 1 1\n")
+        rc = main(["prune", "--input", str(path)] + phi_star)
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "start,length,status,bound", "0,1,unpruned,0", "0,2,unpruned,0",
+            "1,1,unpruned,0"]
+
+    @pytest.mark.parametrize("bad", ["-1", "nan", "inf"])
+    def test_prune_invalid_incumbent_exit_2(self, instance_path, bad):
+        rc = main(["prune", "--input", str(instance_path), "--phi-star", bad])
+        assert rc == 2
+
     def test_bounds_csv(self, instance_path, capsys):
         rc = main(["bounds", "--input", str(instance_path), "--alpha", "0.0"])
         assert rc == 0

@@ -9,7 +9,8 @@ from conftest import clique_graph, connected_random_instance
 from tempocom import driver
 from tempocom.driver import (RunConfig, detect, estimate_initial,
                              fiedler_candidates)
-from tempocom.graph import NormalizationConfig, conductance
+from tempocom.graph import (Interval, NormalizationConfig, TemporalGraph,
+                            conductance)
 from tempocom.oracle import brute_force_best
 from tempocom.pruning import (PRUNED_STATUSES, STATUS_PROBED, STATUS_UNPRUNED,
                               precompute)
@@ -209,3 +210,21 @@ class TestDetect:
         state = detect(g, RunConfig(alpha=0.0))
         assert math.isfinite(state.phi_star)
         assert len(state.verdicts) == 1
+
+    def test_zero_incumbent_table(self):
+        # two triangles at timestamp 0: each is a community of conductance 0,
+        # so detect stops at the estimate with the all-unpruned table
+        records = [(u, v, 0, 1.0) for base in (0, 3)
+                   for u, v in ((base, base + 1), (base + 1, base + 2),
+                                (base, base + 2))] + [(0, 1, 1, 1.0)]
+        g = TemporalGraph.from_records([str(i) for i in range(6)], 2, records)
+        state = detect(g, RunConfig(alpha=0.2))
+        assert state.phi_star == 0.0
+        assert state.bucket_log == []
+        verdicts = list(state.verdicts)
+        assert [v.interval for v in verdicts] == [
+            Interval(0, 0), Interval(0, 1), Interval(1, 1)]
+        for v in verdicts:
+            assert v.status in (STATUS_UNPRUNED, STATUS_PROBED)
+            assert v.bound_value == 0.0 and type(v.bound_value) is float
+        assert any(v.status == STATUS_PROBED for v in verdicts)

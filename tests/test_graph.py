@@ -1,6 +1,8 @@
 """Data model, loading, aggregation, and the conductance objective."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,12 @@ from hypothesis import strategies as st
 from conftest import clique_graph, cycle_graph, random_instance
 from tempocom.graph import (GraphFormatError, Interval, NormalizationConfig,
                             TemporalGraph, aggregate, conductance, eta, load)
+
+
+# header and record words, numbers the loader must refuse, a comment mark,
+# a byte-order mark and digits outside ASCII
+LOAD_TOKENS = ["tgraph", "a", "b", "c", "0", "1", "2", "3", "-1", "1.5", "nan",
+               "inf", "1e308", "#", "\ufeff", "\u0663", "\u00b2", "\r"]
 
 
 def write(tmp_path, text):
@@ -53,6 +61,27 @@ class TestLoad:
             load(write(tmp_path, "tgraph 4 1\nb c 0 6e307\nc b 0 6e307\n"))
         g = load(write(tmp_path, "tgraph 4 1\nb c 0 6e307\n"))
         assert np.isfinite(aggregate(g, g.full_interval()).volumes).all()
+
+    def test_undecodable_byte_reports_line_number(self, tmp_path):
+        p = tmp_path / "g.tgraph"
+        p.write_bytes(b"tgraph 3 2\na b 0 1\nb\x80 c 1 1\n")
+        with pytest.raises(GraphFormatError, match="line 3: not valid UTF-8"):
+            load(p)
+
+    @given(lines=st.lists(st.lists(st.sampled_from(LOAD_TOKENS), max_size=5)
+                          .map(" ".join), max_size=8),
+           header=st.booleans(), tail=st.binary(max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_returns_graph_or_format_error(self, lines, header, tail):
+        text = "\n".join((["tgraph 3 2"] if header else []) + lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "g.tgraph"
+            p.write_bytes(text.encode("utf-8") + tail)
+            try:
+                g = load(p)
+            except GraphFormatError:
+                return
+        assert isinstance(g, TemporalGraph)
 
     def test_timestamp_beyond_declared_rejected(self, tmp_path):
         with pytest.raises(GraphFormatError, match="timestamp 4"):

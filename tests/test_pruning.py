@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tempocom.pruning as pruning
 import tempocom.spectral as spectral
 from conftest import clique_graph, connected_random_instance, cycle_graph
 from tempocom.graph import (Interval, NormalizationConfig, TemporalGraph,
                             aggregate, load)
 from tempocom.oracle import brute_force_min_phi
-from tempocom.pruning import (PRUNED_STATUSES, STATUS_EXACT_PRUNED,
-                              STATUS_UNPRUNED, Pruner, PruningGroup,
-                              build_groups, composite_bound,
+from tempocom.pruning import (PRUNED_STATUSES, STATUS_COMPOSITE_PRUNED,
+                              STATUS_EXACT_PRUNED, STATUS_GROUP_PRUNED,
+                              STATUS_UNPRUNED, PruneVerdict, Pruner,
+                              PruningGroup, build_groups, composite_bound,
                               composite_lambda2_bound, group_bound,
                               precompute, prune_all)
 from tempocom.spectral import lambda2_dense
@@ -441,3 +443,141 @@ class TestExactTier:
                 assert v.bound_value > final
             else:
                 assert v.bound_value <= final
+
+
+def object_list_prune_all(bt, groups, phi_star, cfg, use_groups=True):
+    """prune_all as one PruneVerdict per interval, built in a Python loop:
+    the reference the verdict table must match."""
+    if not (phi_star > 0) or math.isinf(phi_star):
+        raise ValueError("phi_star must be a finite positive incumbent conductance")
+    T = bt.T
+    offsets = [0] * T
+    acc = 0
+    for t in range(T):
+        offsets[t] = acc
+        acc += T - t
+    out: list = [None] * acc
+    for t in range(T):
+        iv = Interval(t, t)
+        cb = composite_bound(bt, iv, cfg) / 2.0
+        status = STATUS_COMPOSITE_PRUNED if cb > phi_star else STATUS_UNPRUNED
+        out[offsets[t]] = PruneVerdict(iv, status, cb)
+    for grp in groups:
+        gb = group_bound(bt, grp, cfg) / 2.0 if use_groups else -math.inf
+        base = offsets[grp.start] - grp.start
+        if gb > phi_star:
+            out[base + grp.prefix_end:base + grp.group_end + 1] = [
+                PruneVerdict(Interval(grp.start, end), STATUS_GROUP_PRUNED, gb)
+                for end in range(grp.prefix_end, grp.group_end + 1)]
+            continue
+        for end in range(grp.prefix_end, grp.group_end + 1):
+            iv = Interval(grp.start, end)
+            cb = composite_bound(bt, iv, cfg) / 2.0
+            status = STATUS_COMPOSITE_PRUNED if cb > phi_star else STATUS_UNPRUNED
+            out[base + end] = PruneVerdict(iv, status, cb)
+    return out
+
+
+class ObjectListPruner(Pruner):
+    """Pruner.judge over PruneVerdict lists, with per-verdict _replace."""
+
+    def half_bound(self, iv):
+        T = self.bt.T
+        i = iv.start * T - iv.start * (iv.start - 1) // 2 + iv.span
+        return max(self._base[i].bound_value, self.exact.get(iv, -math.inf))
+
+    def judge(self, phi_star, on_open=None):
+        if self._base is None or phi_star > self._base_phi:
+            self._base = object_list_prune_all(self.bt, self.groups, phi_star,
+                                               self.cfg)
+            self._base_phi = phi_star
+        pending = sorted((v.bound_value, v.interval) for v in self._base
+                         if v.status not in PRUNED_STATUSES)
+        for cb, iv in pending:
+            if cb > phi_star or iv in self.exact:
+                continue
+            res = self._solve(iv)
+            if on_open is not None and res is not None \
+                    and self.exact[iv] <= phi_star:
+                phi_star = min(phi_star, on_open(iv, res, phi_star))
+        return [self._verdict(v, phi_star) for v in self._base], phi_star
+
+    def _verdict(self, v, phi_star):
+        if v.status in PRUNED_STATUSES:
+            return v
+        if v.bound_value > phi_star:
+            return v._replace(status=STATUS_COMPOSITE_PRUNED)
+        eb = self.exact_bound(v.interval)
+        if eb > phi_star:
+            return v._replace(status=STATUS_EXACT_PRUNED, bound_value=eb)
+        return v._replace(bound_value=max(v.bound_value, eb))
+
+
+def typed(verdicts):
+    return [(v.interval, v.status, v.bound_value, type(v.bound_value))
+            for v in verdicts]
+
+
+class TestVerdictTableMatchesObjectLists:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_prune_all(self, seed):
+        rng = np.random.default_rng([83, seed])
+        cfg = NormalizationConfig(float(rng.choice([0.0, 0.2])))
+        for trial in range(4):
+            g = connected_random_instance(rng, int(rng.integers(3, 11)),
+                                          int(rng.integers(2, 13)),
+                                          density=float(rng.uniform(0.2, 0.7)))
+            bt = precompute(g, 2)
+            groups = build_groups(g.T, 0.5)
+            for phi_star in (2.0, 0.5, 0.2, 0.05):
+                for use_groups in (True, False):
+                    got = prune_all(bt, groups, phi_star, cfg, use_groups)
+                    assert len(got) == g.T * (g.T + 1) // 2
+                    assert typed(got) == typed(object_list_prune_all(
+                        bt, groups, phi_star, cfg, use_groups))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("with_open", [False, True])
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_judge_on_a_reused_pruner(self, seed, with_open, failing,
+                                      monkeypatch):
+        if failing:
+            # a failed solve bounds its interval by 0, below the composite
+            # bound, and leaves a precomputed block unusable
+            def some_fail(g, iv, solve=pruning.interval_lambda2):
+                if (7 * iv.start + iv.end) % 4 == 0:
+                    raise spectral.EigenSolveError("planted failure")
+                return solve(g, iv)
+            monkeypatch.setattr(pruning, "interval_lambda2", some_fail)
+        rng = np.random.default_rng([89, seed])
+        cfg = NormalizationConfig(float(rng.choice([0.0, 0.2])))
+        for trial in range(3):
+            g = connected_random_instance(rng, int(rng.integers(3, 11)),
+                                          int(rng.integers(2, 13)),
+                                          density=float(rng.uniform(0.2, 0.7)))
+            bt = precompute(g, 2)
+            groups = build_groups(g.T, 0.5)
+            table, objects = Pruner(bt, groups, cfg), \
+                ObjectListPruner(bt, groups, cfg)
+            calls: dict = {id(table): [], id(objects): []}
+
+            def on_open(pruner):
+                def found(iv, res, phi_star):
+                    calls[id(pruner)].append((iv, phi_star))
+                    # a community below the incumbent in every third interval
+                    return phi_star * 0.9 if (iv.start + iv.end) % 3 == 0 \
+                        else math.inf
+                return found if with_open else None
+
+            stars = sorted(rng.uniform(0.02, 2.0, size=4).tolist(), reverse=True)
+            for phi_star in stars + [0.0] * int(rng.integers(0, 2)):
+                got, got_phi = table.judge(phi_star, on_open(table))
+                want, want_phi = objects.judge(phi_star, on_open(objects))
+                assert got_phi == want_phi
+                assert typed(got) == typed(want)
+                for v in want:
+                    half = table.half_bound(v.interval)
+                    assert type(half) is float
+                    assert half == objects.half_bound(v.interval)
+            assert calls[id(table)] == calls[id(objects)]
+            assert table.exact == objects.exact
