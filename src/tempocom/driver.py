@@ -115,7 +115,9 @@ def estimate_initial(g: TemporalGraph, bt: BoundsTable, cfg: RunConfig,
     candidates: list[TemporalCommunity] = []
     for iv in probes:
         scale = max(1, iv.length)
-        buckets = hash_all(g, [iv], scales=[scale], r=ESTIMATE_ROWS,
+        # the block widened by one scale on each side
+        window = Interval(max(0, iv.start - scale), min(g.T - 1, iv.end + scale))
+        buckets = hash_all(g, [window], scales=[scale], r=ESTIMATE_ROWS,
                            b=ESTIMATE_BANDS, seed=cfg.seed)
         if not buckets:
             continue
@@ -192,7 +194,7 @@ def detect(g: TemporalGraph, cfg: RunConfig) -> DetectionState:
         t0 = time.perf_counter()
         buckets = hash_all(g, open_intervals, scale_ladder(g.T),
                            r=cfg.rows, b=cfg.bands, seed=cfg.seed,
-                           min_entries=cfg.min_entries)
+                           min_entries=cfg.min_entries, span_cap=cfg.span_cap)
         timings["hash"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -204,7 +206,9 @@ def detect(g: TemporalGraph, cfg: RunConfig) -> DetectionState:
         for bucket in buckets:
             lo, hi = bucket.span
             # entries spanning far beyond the hashing scale collide by chance,
-            # not because a community persists there; skip them
+            # not because a community persists there; skip them (hash_all
+            # hashes only intervals within the cap, but entries of two
+            # distant ones can still share a bucket)
             if hi - lo + 1 > cfg.span_cap * bucket.key.scale:
                 continue
             iv = Interval(lo, hi)

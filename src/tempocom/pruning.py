@@ -125,22 +125,19 @@ class BoundsTable:
         blocks: list[Interval] = []
         pos = iv.start
         while pos <= iv.end:
-            chosen = None
             for length in self._lengths_desc:
-                if pos % length != 0:
+                if pos % length:
                     continue
-                block = Interval(pos, min(pos + length, self.T) - 1)
-                if block.end > iv.end:
+                end = min(pos + length, self.T) - 1
+                if end > iv.end:
                     continue
-                if length > 1 and block not in self.entries:
+                # Interval hashes as its (start, end) tuple; a missing or
+                # unusable entry splits finer
+                if length > 1 and self.entries.get((pos, end)) is None:
                     continue
-                if length > 1 and self.entries[block] is None:
-                    continue  # unusable entry: split finer
-                chosen = block
                 break
-            assert chosen is not None
-            blocks.append(chosen)
-            pos = chosen.end + 1
+            blocks.append(Interval(pos, end))
+            pos = end + 1
         out = tuple(blocks)
         self._decomp_cache[iv] = out
         return out

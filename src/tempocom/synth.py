@@ -32,6 +32,9 @@ class SynthConfig:
             raise ValueError("planted interval must fit in the timeline")
         if not (1 <= self.planted_nodes <= self.n):
             raise ValueError("planted node count must be in [1, n]")
+        if not (1 <= self.attachment < self.n):
+            raise ValueError(f"attachment {self.attachment} must be in "
+                             f"[1, n - 1] for n = {self.n}")
 
 
 def _truncated_poisson(rng: np.random.Generator, lam: float, shape) -> np.ndarray:

@@ -144,14 +144,12 @@ def scale_ladder(T: int) -> list[int]:
     return scales
 
 
-def _eligible_timestamps(T: int, intervals, s: int) -> np.ndarray:
-    """Timestamps t such that some interval intersects [t - s, t + s]."""
+def _eligible_timestamps(T: int, starts: np.ndarray,
+                         ends: np.ndarray) -> np.ndarray:
+    """Timestamps inside some interval [starts[i], ends[i]]."""
     diff = np.zeros(T + 1, dtype=np.int64)
-    for iv in intervals:
-        lo = max(0, iv.start - s)
-        hi = min(T - 1, iv.end + s)
-        diff[lo] += 1
-        diff[hi + 1] -= 1
+    np.add.at(diff, starts, 1)
+    np.add.at(diff, ends + 1, -1)
     return np.cumsum(diff[:-1]) > 0
 
 
@@ -172,11 +170,16 @@ def _split_oversized(bucket: Bucket, cap: int) -> list[Bucket]:
 
 def hash_all(g: TemporalGraph, intervals, scales: Sequence[int], r: int, b: int,
              seed: int, bucket_cap: int = DEFAULT_BUCKET_CAP,
-             min_entries: int = 2) -> list[Bucket]:
-    """Hash every (node, timestamp) near an unpruned interval at every scale.
+             min_entries: int = 2, span_cap: float = math.inf) -> list[Bucket]:
+    """Hash every (node, timestamp) inside an interval short enough for the
+    scale: at scale s, only the timestamps of the given intervals no longer
+    than ``span_cap * s``.
 
-    For scale s the pivot count targets durations up to 2s (an unpruned
-    interval inside the window [t-s, t+s] can be that long). All b bands of
+    A bucket's entries lie within its span, so a bucket whose span fits in
+    one such interval has the key and entries (before any split) it would
+    have if every timestamp were hashed.
+
+    For scale s the pivot count targets durations up to 2s. All b bands of
     one scale share a single hasher with b*r rows; rows are independent, so
     slicing them per band preserves the banding law.
 
@@ -186,9 +189,10 @@ def hash_all(g: TemporalGraph, intervals, scales: Sequence[int], r: int, b: int,
     fill factor, then size, then ascending key, the parts of one split
     bucket in split order; entries by ascending (node, timestamp).
     """
-    intervals = list(intervals)
-    if not intervals:
+    iv_starts, iv_ends = np.array(intervals, dtype=np.int64).reshape(-1, 2).T
+    if not len(iv_starts):
         return []
+    iv_lengths = iv_ends - iv_starts + 1
 
     # flat incidence arrays grouped by node so one timestamp's neighborhoods
     # can be hashed for every node in a single batch of array ops
@@ -201,7 +205,8 @@ def hash_all(g: TemporalGraph, intervals, scales: Sequence[int], r: int, b: int,
     buckets: list[Bucket] = []
     ranks: list[tuple[float, int, int]] = []  # (fill factor, size, scale)
     for s in scales:
-        elig = _eligible_timestamps(g.T, intervals, s)
+        usable = iv_lengths <= span_cap * s
+        elig = _eligible_timestamps(g.T, iv_starts[usable], iv_ends[usable])
         if not elig.any():
             continue
         k = optimal_pivots(min(2 * s, g.T), g.T)

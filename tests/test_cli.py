@@ -28,6 +28,17 @@ class TestGenerate:
         assert len(truth["nodes"]) == 6
         assert truth["t_end"] - truth["t"] + 1 == 3
 
+    def test_attachment_not_below_nodes_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.tgraph"
+        rc = main(["generate", "--out", str(out), "--nodes", "10",
+                   "--attachment", "10", "--timeline", "4",
+                   "--planted-nodes", "3", "--planted-length", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert "attachment 10" in err and "n = 10" in err
+        assert not out.exists()
+
 
 class TestDetect:
     def test_outputs_written(self, instance_path, tmp_path):

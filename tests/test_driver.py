@@ -50,6 +50,33 @@ class TestEstimateInitial:
         assert probes == []
         assert math.isfinite(phi_star) and len(cands) >= 1
 
+    def test_probes_hash_what_the_window_rule_hashed(self, monkeypatch):
+        # probes once hashed, at scale s = max(1, block length), every
+        # timestamp t with [t - s, t + s] meeting the block
+        rng = np.random.default_rng(113)
+        g = connected_random_instance(rng, 12, 16, density=0.4)
+        cfg = RunConfig(alpha=0.2)
+        bt = precompute(g, cfg.scale_base)
+        want = estimate_initial(g, bt, cfg)
+        probes = iter(want[2])
+        sizes = []
+        hash_all = driver.hash_all
+
+        def window_rule_hash_all(g, intervals, scales, **kw):
+            iv = next(probes)
+            (s,) = scales
+            assert s == max(1, iv.length)
+            ts = [t for t in range(g.T) if iv.start <= t + s and t - s <= iv.end]
+            buckets = hash_all(g, [Interval(t, t) for t in ts], scales, **kw)
+            sizes.append(len(buckets))
+            return buckets
+
+        monkeypatch.setattr(driver, "hash_all", window_rule_hash_all)
+        got = estimate_initial(g, bt, cfg)
+        assert got == want
+        assert len(sizes) == cfg.probes and any(sizes)
+        assert any(0 < iv.start and iv.end < g.T - 1 for iv in want[2])
+
     def test_estimate_quality_on_desk_instances(self):
         rng = np.random.default_rng(109)
         cfg = RunConfig(alpha=0.2)

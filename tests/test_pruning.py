@@ -102,6 +102,61 @@ class TestDecompose:
             assert b.start % b.length == 0 or b.length == 1
 
 
+def interval_building_decompose(bt, iv):
+    """Reference: the decomposition built with one Interval per block length
+    tried, before the fit and usability checks."""
+    blocks = []
+    pos = iv.start
+    while pos <= iv.end:
+        chosen = None
+        for length in bt._lengths_desc:
+            if pos % length != 0:
+                continue
+            block = Interval(pos, min(pos + length, bt.T) - 1)
+            if block.end > iv.end:
+                continue
+            if length > 1 and block not in bt.entries:
+                continue
+            if length > 1 and bt.entries[block] is None:
+                continue
+            chosen = block
+            break
+        assert chosen is not None
+        blocks.append(chosen)
+        pos = chosen.end + 1
+    return tuple(blocks)
+
+
+class TestDecomposeMatchesIntervalBuilding:
+    def test_random_tables(self):
+        rng = np.random.default_rng(12)
+        usable = object()
+        for trial in range(40):
+            T = int(rng.integers(1, 601))
+            base = int(rng.integers(2, 5))
+            g = TemporalGraph.from_records(["a", "b"], T, [(0, 1, 0, 1.0)])
+            # aligned blocks as precompute lays them out; some unusable
+            # (None) and some missing
+            entries = {}
+            for length in pruning._levels(T, base):
+                for start in range(0, T, length):
+                    block = Interval(start, min(start + length, T) - 1)
+                    roll = rng.random()
+                    if roll < 0.7:
+                        entries[block] = usable
+                    elif roll < 0.85:
+                        entries[block] = None
+            bt = pruning.BoundsTable(g, base, entries)
+            ref = pruning.BoundsTable(g, base, entries)
+            for _ in range(200):
+                lo = int(rng.integers(0, T))
+                iv = Interval(lo, int(rng.integers(lo, T)))
+                got = bt.decompose(iv)
+                want = interval_building_decompose(ref, iv)
+                assert got == want
+                assert all(type(b) is Interval for b in got)
+
+
 class TestCompositeBound:
     def test_identical_snapshots_two_blocks_tight(self):
         g = identical_snapshot_graph(8, 2, seed=1)

@@ -22,6 +22,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SynthConfig(planted_nodes=0)
 
+    @pytest.mark.parametrize("n, attachment", [(10, 10), (10, 11), (10, 0),
+                                               (10, -1)])
+    def test_attachment_out_of_range_names_both_values(self, n, attachment):
+        with pytest.raises(ValueError, match=rf"attachment {attachment} .*"
+                                             rf"n = {n}\b"):
+            SynthConfig(n=n, attachment=attachment, planted_nodes=3,
+                        timeline=4, planted_length=2)
+
+    def test_attachment_bounds_accepted(self):
+        generate(SynthConfig(n=10, attachment=9, planted_nodes=3, timeline=4,
+                             planted_length=2))
+        generate(SynthConfig(n=10, attachment=1, planted_nodes=3, timeline=4,
+                             planted_length=2))
+
 
 class TestGenerate:
     def test_deterministic(self):

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import clique_graph, cycle_graph, random_instance
 from tempocom.graph import Interval
-from tempocom.tlsh import (Bucket, CompositeSignature, TemporalPivotHasher,
-                           WeightedMinHasher, _eligible_timestamps, _pack64,
-                           _split_oversized, composite_collision_count,
-                           hash_all, minhash_collision_count, optimal_pivots,
+from tempocom.tlsh import (DEFAULT_BUCKET_CAP, Bucket, CompositeSignature,
+                           TemporalPivotHasher, WeightedMinHasher,
+                           _eligible_timestamps, _pack64, _split_oversized,
+                           composite_collision_count, hash_all,
+                           minhash_collision_count, optimal_pivots,
                            pivot_collision_count, scale_ladder,
                            weighted_jaccard)
 
@@ -273,19 +274,54 @@ class TestHashAll:
             assert b.entries == sorted(b.entries)
 
     def test_eligibility_window(self):
-        # timestamps further than s from every open interval are never hashed
+        # at scale s only the timestamps of intervals no longer than
+        # span_cap * s are hashed, with no window around them
         g = cycle_graph(5, T=12)
-        buckets = hash_all(g, [Interval(0, 1)], [2], r=2, b=2, seed=1,
-                           min_entries=1)
-        ts = {t for b in buckets for _, t in b.entries}
-        assert ts and max(ts) <= 3
+        intervals = [Interval(0, 1), Interval(4, 11)]
+
+        def hashed(span_cap):
+            buckets = hash_all(g, intervals, [2], r=2, b=2, seed=1,
+                               min_entries=1, span_cap=span_cap)
+            return {t for b in buckets for _, t in b.entries}
+
+        assert hashed(1.0) == {0, 1}
+        assert hashed(3.5) == {0, 1}
+        assert hashed(4.0) == {0, 1} | set(range(4, 12))
+        assert hashed(math.inf) == hashed(4.0)
+        assert hash_all(g, intervals, [2], r=2, b=2, seed=1,
+                        span_cap=0.5) == []
+
+    def test_eligible_timestamps(self):
+        elig = _eligible_timestamps(10, np.array([2, 3, 8]), np.array([4, 3, 9]))
+        assert np.flatnonzero(elig).tolist() == [2, 3, 4, 8, 9]
+        none = np.array([], dtype=np.int64)
+        assert not _eligible_timestamps(10, none, none).any()
+
+
+def capped_eligible(T, intervals, s, span_cap):
+    """hash_all's rule: timestamps inside some interval no longer than
+    span_cap * s."""
+    elig = np.zeros(T, dtype=bool)
+    for iv in intervals:
+        if iv.length <= span_cap * s:
+            elig[iv.start:iv.end + 1] = True
+    return elig
+
+
+def window_eligible(T, intervals, s, span_cap=None):
+    """The ±s window rule: timestamps t such that some interval, whatever
+    its length, intersects [t - s, t + s]."""
+    return np.array([any(iv.start <= t + s and t - s <= iv.end
+                         for iv in intervals) for t in range(T)], dtype=bool)
 
 
 def dict_loop_hash_all(g, intervals, scales, r, b, seed, bucket_cap,
-                       min_entries):
+                       min_entries, span_cap=math.inf,
+                       eligible=capped_eligible):
     """Reference bucket table: one dict of entry lists filled one (node,
     timestamp, band) at a time, then a stable sort of the buckets by
-    (-fill factor, -size, key). Hashing per timestamp is hash_all's."""
+    (-fill factor, -size, key). Hashing per timestamp is hash_all's; which
+    timestamps a scale hashes is ``eligible``'s."""
     intervals = list(intervals)
     tables = {}
     if not intervals:
@@ -296,7 +332,7 @@ def dict_loop_hash_all(g, intervals, scales, r, b, seed, bucket_cap,
     order = np.argsort(owner, kind="stable")
     owner, inc_keys, inc_eids = owner[order], inc_keys[order], inc_eids[order]
     for s in scales:
-        elig = _eligible_timestamps(g.T, intervals, s)
+        elig = eligible(g.T, intervals, s, span_cap)
         if not elig.any():
             continue
         k = optimal_pivots(min(2 * s, g.T), g.T)
@@ -345,6 +381,16 @@ def dict_loop_hash_all(g, intervals, scales, r, b, seed, bucket_cap,
     return out
 
 
+def random_hash_input(rng):
+    g = random_instance(rng, int(rng.integers(3, 12)), int(rng.integers(1, 16)),
+                        density=float(rng.uniform(0.1, 0.8)))
+    intervals = []
+    for _ in range(int(rng.integers(1, 4))):
+        lo = int(rng.integers(0, g.T))
+        intervals.append(Interval(lo, int(rng.integers(lo, g.T))))
+    return g, intervals
+
+
 def assert_same_buckets(got, want):
     assert [bk.key for bk in got] == [bk.key for bk in want]
     assert [bk.entries for bk in got] == [bk.entries for bk in want]
@@ -363,17 +409,13 @@ class TestHashAllMatchesDictLoop:
                               bucket_cap):
         rng = np.random.default_rng([seed, bucket_cap])
         for trial in range(4):
-            g = random_instance(rng, int(rng.integers(3, 12)),
-                                int(rng.integers(1, 16)),
-                                density=float(rng.uniform(0.1, 0.8)))
-            intervals = []
-            for _ in range(int(rng.integers(1, 4))):
-                lo = int(rng.integers(0, g.T))
-                intervals.append(Interval(lo, int(rng.integers(lo, g.T))))
+            g, intervals = random_hash_input(rng)
             args = (g, intervals, scales, r, b, seed)
-            assert_same_buckets(
-                hash_all(*args, bucket_cap=bucket_cap, min_entries=min_entries),
-                dict_loop_hash_all(*args, bucket_cap, min_entries))
+            for span_cap in (math.inf, 1.0, 2.0):
+                assert_same_buckets(
+                    hash_all(*args, bucket_cap=bucket_cap,
+                             min_entries=min_entries, span_cap=span_cap),
+                    dict_loop_hash_all(*args, bucket_cap, min_entries, span_cap))
 
     def test_split_parts_tied_on_fill_and_size(self):
         # a static cycle: every node hashes alike at every timestamp, so a
@@ -387,3 +429,31 @@ class TestHashAllMatchesDictLoop:
                 and x.fill_factor == y.fill_factor]
         assert tied
         assert_same_buckets(hash_all(*args, bucket_cap=4, min_entries=2), want)
+
+
+class TestSpanCapKeepsRefinableBuckets:
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           span_cap=st.sampled_from([math.inf, 1.0, 2.0, 3.0]),
+           min_entries=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_against_window_rule(self, seed, span_cap, min_entries):
+        # a bucket whose span fits in one interval within the span cap keeps
+        # its key and entries; a bucket of the window rule loses entries only
+        # to leave a span no interval within the cap holds
+        rng = np.random.default_rng(seed)
+        g, intervals = random_hash_input(rng)
+        args = (g, intervals, scale_ladder(g.T), 2, 2, seed % 97)
+        got = hash_all(*args, min_entries=min_entries, span_cap=span_cap)
+        want = dict_loop_hash_all(*args, DEFAULT_BUCKET_CAP, min_entries,
+                                  eligible=window_eligible)
+        got_by_key = {bk.key: bk.entries for bk in got}
+        want_by_key = {bk.key: bk.entries for bk in want}
+        assert len(got_by_key) == len(got) and len(want_by_key) == len(want)
+        for bk in want:
+            lo, hi = bk.span
+            if any(iv.start <= lo and hi <= iv.end
+                   and iv.length <= span_cap * bk.key.scale
+                   for iv in intervals):
+                assert got_by_key.get(bk.key) == bk.entries
+        for key, entries in got_by_key.items():
+            assert set(entries) <= set(want_by_key[key])
