@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from pathlib import Path
 
-from .graph import (GraphFormatError, Interval, NormalizationConfig, eta,
-                    load)
+from .graph import Interval, NormalizationConfig, TemporalGraph, eta, load
 from .driver import RunConfig, detect, estimate_initial, sweep_open_intervals
 from .oracle import InstanceTooLargeError, brute_force_best
 from .pruning import Pruner, Verdicts, build_groups, precompute
@@ -19,6 +19,28 @@ from .tlsh import composite_collision_count, weighted_jaccard
 
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
+
+
+class InputError(Exception):
+    """Input or parameters rejected before any computation; exit status 2."""
+
+
+@contextlib.contextmanager
+def _checking_input():
+    """Report a ValueError raised while the input is read and the parameters
+    are checked as an input error. One raised later, from inside the
+    pipeline, is a fault of the program and propagates."""
+    try:
+        yield
+    except ValueError as err:  # GraphFormatError included
+        raise InputError(err) from err
+
+
+def _load_with_edges(path) -> TemporalGraph:
+    g = load(path)
+    if g.n_edges == 0:
+        raise ValueError(f"{path}: the graph has no edges")
+    return g
 
 
 def _json_line(obj) -> str:
@@ -42,11 +64,13 @@ def _write_verdicts(fh, verdicts) -> None:
 
 
 def cmd_detect(args) -> int:
-    g = load(args.input)
-    cfg = RunConfig(alpha=args.alpha, scale_base=args.scale_base, beta=args.beta,
-                    rows=args.rows, bands=args.bands, topk=args.topk,
-                    probes=args.probes, seed=args.seed, threads=args.threads,
-                    min_entries=args.min_entries, span_cap=args.span_cap)
+    with _checking_input():
+        g = _load_with_edges(args.input)
+        cfg = RunConfig(alpha=args.alpha, scale_base=args.scale_base,
+                        beta=args.beta, rows=args.rows, bands=args.bands,
+                        topk=args.topk, probes=args.probes, seed=args.seed,
+                        threads=args.threads, min_entries=args.min_entries,
+                        span_cap=args.span_cap)
     state = detect(g, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -72,11 +96,12 @@ def cmd_detect(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg = SynthConfig(n=args.nodes, attachment=args.attachment,
-                      timeline=args.timeline, mean_weight=args.mean_weight,
-                      planted_nodes=args.planted_nodes,
-                      planted_length=args.planted_length,
-                      contrast=args.contrast, seed=args.seed)
+    with _checking_input():
+        cfg = SynthConfig(n=args.nodes, attachment=args.attachment,
+                          timeline=args.timeline, mean_weight=args.mean_weight,
+                          planted_nodes=args.planted_nodes,
+                          planted_length=args.planted_length,
+                          contrast=args.contrast, seed=args.seed)
     g, truth = generate(cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(f"tgraph {g.n} {g.T}\n")
@@ -98,11 +123,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    g = load(args.input)
-    cfg = RunConfig(alpha=args.alpha, scale_base=args.scale_base, beta=args.beta,
-                    seed=args.seed, threads=args.threads)
-    bt = precompute(g, cfg.scale_base, threads=cfg.threads)
     phi_star = args.phi_star
+    with _checking_input():
+        g = _load_with_edges(args.input)
+        cfg = RunConfig(alpha=args.alpha, scale_base=args.scale_base,
+                        beta=args.beta, seed=args.seed, threads=args.threads)
+        if phi_star is not None and not 0 <= phi_star < math.inf:
+            raise ValueError(f"--phi-star {phi_star} is not a finite "
+                             "nonnegative conductance")
+    bt = precompute(g, cfg.scale_base, threads=cfg.threads)
     if phi_star is None:
         phi_star, _, _ = estimate_initial(g, bt, cfg)
     # a zero incumbent is optimal already: detect's all-unpruned table
@@ -117,8 +146,9 @@ def cmd_prune(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    g = load(args.input)
-    norm = NormalizationConfig(args.alpha)
+    with _checking_input():
+        g = load(args.input)
+        norm = NormalizationConfig(args.alpha)
     print("start,end,lambda2,bound")
     for t in range(g.T):
         for t2 in range(t, g.T):
@@ -129,13 +159,19 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g = load(args.input)
-    best = brute_force_best(g, NormalizationConfig(args.alpha))
+    with _checking_input():
+        g = _load_with_edges(args.input)
+        norm = NormalizationConfig(args.alpha)
+    best = brute_force_best(g, norm)
     print(_json_line(_community_record(g, best)))
     return 0
 
 
 def cmd_hash_calibrate(args) -> int:
+    with _checking_input():
+        if min(args.timeline, args.rows, args.trials) < 1 or args.pivots < 0:
+            raise ValueError("--timeline, --rows and --trials must be positive "
+                             "and --pivots nonnegative")
     T = args.timeline
     print("jaccard,delta_frac,r,k,empirical,theoretical")
     jaccards = [0.2, 0.4, 0.6, 0.8]
@@ -225,8 +261,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, FileNotFoundError, InstanceTooLargeError,
-            ValueError) as err:
+    except (InputError, FileNotFoundError, InstanceTooLargeError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except EigenSolveError as err:

@@ -15,7 +15,8 @@ from .graph import (Interval, NormalizationConfig, TemporalCommunity,
 from .pruning import (PROBED, UNPRUNED, BoundsTable, Pruner, Verdicts,
                       build_groups, precompute)
 from .refine import (NoConnectedPrefixError, WalkParams, fiedler_sweep,
-                     refine_bucket, rwr_scores, seed_rankings, sweep)
+                     refine_bucket, refine_seedings, rwr_scores, seed_rankings,
+                     sweep)
 from .spectral import EigResult
 from .tlsh import hash_all, scale_ladder
 
@@ -37,6 +38,15 @@ class RunConfig:
     walk: WalkParams = WalkParams()
     min_entries: int = 2
     span_cap: float = 2.0
+
+    def __post_init__(self):
+        self.norm()  # checks alpha
+        if self.scale_base < 2:
+            raise ValueError("scale base must be >= 2")
+        if not 0 < self.beta < 1:
+            raise ValueError("beta must be in (0, 1)")
+        if self.rows < 1 or self.bands < 1:
+            raise ValueError("rows and bands must be positive")
 
     def norm(self) -> NormalizationConfig:
         return NormalizationConfig(self.alpha)
@@ -112,11 +122,13 @@ def estimate_initial(g: TemporalGraph, bt: BoundsTable, cfg: RunConfig,
     scored.sort()
     probes = [item[3] for item in scored[:cfg.probes]]
 
+    # each probe hashes its block widened by one scale on each side; blocks
+    # that widen to the same window at the same scale are hashed once
+    windows = dict.fromkeys(
+        (Interval(max(0, iv.start - scale), min(g.T - 1, iv.end + scale)), scale)
+        for iv in probes for scale in [max(1, iv.length)])
     candidates: list[TemporalCommunity] = []
-    for iv in probes:
-        scale = max(1, iv.length)
-        # the block widened by one scale on each side
-        window = Interval(max(0, iv.start - scale), min(g.T - 1, iv.end + scale))
+    for window, scale in windows:
         buckets = hash_all(g, [window], scales=[scale], r=ESTIMATE_ROWS,
                            b=ESTIMATE_BANDS, seed=cfg.seed)
         if not buckets:
@@ -201,7 +213,7 @@ def detect(g: TemporalGraph, cfg: RunConfig) -> DetectionState:
         # first pass: span cap and deduplication; the surviving seedings
         # are grouped by interval, in bucket order
         seedings = []
-        groups: dict[Interval, list[list[int]]] = {}
+        groups: dict[Interval, list[tuple[tuple, tuple]]] = {}
         seen_seedings: set = set()
         for bucket in buckets:
             lo, hi = bucket.span
@@ -214,38 +226,41 @@ def detect(g: TemporalGraph, cfg: RunConfig) -> DetectionState:
             iv = Interval(lo, hi)
             # refinement depends on a bucket only through its span and node
             # multiplicities, so collapse equivalent buckets across bands
-            counts = Counter(u for u, _ in bucket.entries)
-            seed_key = (iv, tuple(sorted(counts.items())))
+            counts = tuple(sorted(Counter(u for u, _ in bucket.entries).items()))
+            seed_key = (iv, counts)
             if seed_key in seen_seedings:
                 continue
             seen_seedings.add(seed_key)
             group = groups.setdefault(iv, [])
-            seedings.append((iv, bucket.entries, len(group)))
-            group.append(sorted(counts))
+            seedings.append((iv, len(group)))
+            group.append(tuple(zip(*counts)))
 
         # second pass: the bound decides bucket by bucket against the
-        # current incumbent; an interval's first refined bucket aggregates it
-        # and solves the walks of all its seedings from there on at once, and
-        # both are dropped after the interval's last seeding
-        walks: dict[Interval, tuple] = {}
-        for iv, entries, k in seedings:
+        # current incumbent. An interval's first refined bucket aggregates
+        # it, solves the walks of all its seedings from there on and refines
+        # them in one batch; a result is used only if its bucket is refined
+        # when its turn comes, and the batch is dropped after the interval's
+        # last seeding
+        batches: dict[Interval, tuple] = {}
+        for iv, k in seedings:
             group = groups[iv]
             bound_half = pruner.half_bound(iv)
             refined = bound_half < phi_star
             bucket_log.append(BucketDecision(iv, bound_half, phi_star, refined))
-            if refined and iv not in walks:
+            if refined and iv not in batches:
                 ag = aggregate(g, iv)
-                walks[iv] = (ag, k, rwr_scores(ag, group[k:], cfg.walk))
-            walk = walks.pop(iv, None) if k == len(group) - 1 else walks.get(iv)
+                scores = rwr_scores(ag, [seeds for seeds, _ in group[k:]],
+                                    cfg.walk)
+                batches[iv] = (k, refine_seedings(g, ag, group[k:], scores,
+                                                  norm))
+            batch = (batches.pop(iv, None) if k == len(group) - 1
+                     else batches.get(iv))
             if not refined:
                 continue
-            ag, first, scores = walk
-            try:
-                result = refine_bucket(g, entries, norm, cfg.walk, ag=ag,
-                                       scores=scores[:, k - first])
-            except NoConnectedPrefixError:
+            first, cands = batch
+            cand = cands[k - first]
+            if cand is None:
                 continue
-            cand = result.community
             _add_candidate(results, cand)
             if cand.phi < phi_star:
                 phi_star = cand.phi

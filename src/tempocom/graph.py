@@ -214,18 +214,6 @@ class TemporalCommunity:
                 self.interval.start, self.interval.end)
 
 
-def cut_and_volumes(g: TemporalGraph, members: np.ndarray,
-                    iv: Interval) -> tuple[float, float, float]:
-    """Cut weight and the two side volumes of a membership mask over iv."""
-    s = g.interval_edge_weights(iv)
-    in_u = members[g.edge_u]
-    in_v = members[g.edge_v]
-    cut = float(s[in_u != in_v].sum())
-    vol_c = float(s[in_u].sum() + s[in_v].sum())
-    total = 2.0 * float(s.sum())
-    return cut, vol_c, total - vol_c
-
-
 def conductance(g: TemporalGraph, c: Iterable[int], iv: Interval,
                 cfg: NormalizationConfig) -> float:
     """Temporal conductance eta * cut / min(vol(C), vol(complement)).
@@ -233,16 +221,29 @@ def conductance(g: TemporalGraph, c: Iterable[int], iv: Interval,
     A zero min-volume yields the infinite sentinel (worst possible) so search
     code can skip such sets without special-casing.
     """
-    members = np.zeros(g.n, dtype=bool)
+    members = np.zeros((1, g.n), dtype=bool)
     idx = np.fromiter(c, dtype=np.int64)
     if len(idx) == 0 or len(np.unique(idx)) >= g.n:
         raise ValueError("C must be a nonempty proper subset of V")
-    members[idx] = True
-    cut, vol_c, vol_cbar = cut_and_volumes(g, members, iv)
-    denom = min(vol_c, vol_cbar)
-    if denom <= 0:
-        return INFINITE_CONDUCTANCE
-    return eta(iv, cfg) * cut / denom
+    members[0, idx] = True
+    return conductances(g, members, iv, cfg)[0]
+
+
+def conductances(g: TemporalGraph, members: np.ndarray, iv: Interval,
+                 cfg: NormalizationConfig) -> list[float]:
+    """``conductance`` of each row of a boolean (sets, n) membership matrix,
+    from one interval edge sum; each row sums its own terms in edge order."""
+    s = g.interval_edge_weights(iv)
+    total = 2.0 * float(s.sum())
+    scale = eta(iv, cfg)
+    out = []
+    for in_u, in_v in zip(members.take(g.edge_u, axis=1),
+                          members.take(g.edge_v, axis=1)):
+        cut = float(s[in_u != in_v].sum())
+        vol_c = float(s[in_u].sum() + s[in_v].sum())
+        denom = min(vol_c, total - vol_c)
+        out.append(INFINITE_CONDUCTANCE if denom <= 0 else scale * cut / denom)
+    return out
 
 
 def load(path) -> TemporalGraph:

@@ -13,11 +13,15 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.sparse.linalg import splu
 
 from .graph import (AggregatedGraph, Interval, NormalizationConfig,
-                    TemporalCommunity, TemporalGraph, aggregate, conductance, eta)
+                    TemporalCommunity, TemporalGraph, aggregate, conductance,
+                    conductances, eta)
 
 DEFAULT_RESTART = 0.15
 # above this many positive-volume nodes the walk system is factored sparse
 DENSE_WALK_MAX_NODES = 2048
+# refine_seedings sweeps its rankings in chunks of rows whose per-row work
+# arrays (one entry per edge or node) hold about this many entries in all
+SWEEP_CHUNK_ELEMENTS = 2 ** 16
 
 
 class NoConnectedPrefixError(ValueError):
@@ -84,49 +88,88 @@ def rwr_scores(ag: AggregatedGraph, seed_sets: Sequence[Iterable[int]],
 def sweep(ag: AggregatedGraph, ranking: Sequence[int],
           cfg: NormalizationConfig,
           limit: float = math.inf) -> tuple[frozenset[int], int, float]:
-    """Minimum-conductance connected prefix of the ranking.
-
-    Cut and volume of every prefix come from cumulative sums along the
-    ranking, connectivity from ``_connected_prefixes``; disconnected
-    prefixes are skipped, not fatal. Ties go to the shorter prefix.
-    Returns (nodes, prefix_length, phi); raises NoConnectedPrefixError when
-    no connected prefix has phi below ``limit``.
+    """Minimum-conductance connected prefix of the ranking: the one-row call
+    of ``sweep_rows``. Disconnected prefixes are skipped, not fatal. Ties go
+    to the shorter prefix. Returns (nodes, prefix_length, phi); raises
+    NoConnectedPrefixError when no connected prefix has phi below ``limit``.
     """
     ranking = np.asarray(ranking, dtype=np.int64)
     if len(ranking) == 0:
         raise ValueError("ranking must be nonempty")
     if np.bincount(ranking).max() > 1:
         raise ValueError("ranking contains duplicates")
-    n = ag.n
-    steps = min(len(ranking) - 1, n - 1)
+    steps = min(len(ranking) - 1, ag.n - 1)
     if steps <= 0:
         raise NoConnectedPrefixError("no connected prefix in the ranking")
-    order = ranking[:steps]
-    # nodes outside the evaluated prefixes rank last
-    rank = np.full(n, steps, dtype=np.int64)
-    rank[order] = np.arange(steps)
-    ra, rb = rank[ag.edge_u], rank[ag.edge_v]
-    # an edge is internal to every prefix from the step its later endpoint
-    # joins on
-    ru, rv = np.minimum(ra, rb), np.maximum(ra, rb)
-    inside = rv < steps
-    ru, rv = ru[inside], rv[inside]
-    inner = np.bincount(rv, weights=ag.edge_w[inside], minlength=steps)
-    vols = ag.volumes[order]
-    vol_c = np.cumsum(vols)
-    cut = np.cumsum(vols - 2.0 * inner)
-    denom = np.minimum(vol_c, ag.total_volume - vol_c)
-    phi = np.full(steps, math.inf)
-    pos = denom > 0
-    phi[pos] = eta(ag.interval, cfg) * cut[pos] / denom[pos]
-    ok = phi < limit if limit < math.inf else np.ones(steps, dtype=bool)
-    # connectivity is checked only when some prefix could qualify
-    if ok.any():
-        ok &= _connected_prefixes(ru, rv, steps)
-    if not ok.any():
+    sizes, phis = sweep_rows(ag, ranking[None, :steps], np.array([steps]), cfg,
+                             limit)
+    if sizes[0] == 0:
         raise NoConnectedPrefixError("no connected prefix in the ranking")
-    i = int(np.flatnonzero(ok)[np.argmin(phi[ok])])
-    return frozenset(order[:i + 1].tolist()), i + 1, float(phi[i])
+    return frozenset(ranking[:sizes[0]].tolist()), int(sizes[0]), float(phis[0])
+
+
+def sweep_rows(ag: AggregatedGraph, order: np.ndarray, steps: np.ndarray,
+               cfg: NormalizationConfig,
+               limit: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-conductance connected prefix of each row of a block of
+    rankings.
+
+    Row j evaluates the prefixes order[j, :i + 1] for i < steps[j]; its
+    entries from steps[j] on are padding, nodes that none of those prefixes
+    holds, each at most once. Cut and volume of every prefix come from
+    cumulative sums along the row, connectivity from a certificate or
+    ``_connected_prefixes``. Each row does the arithmetic of a sweep of its
+    ranking alone, in the same order. Returns per row the length of the
+    first lowest-phi connected prefix below ``limit`` (0 when there is none)
+    and its phi.
+    """
+    rows, width = order.shape
+    cols, row, last = np.arange(width), np.arange(rows)[:, None], steps[:, None]
+    valid = cols < last
+    # a node outside the evaluated prefixes ranks steps[j] or later, which
+    # is all the same to them
+    rank = last.repeat(ag.n, axis=1)
+    rank[row, order] = cols
+    # an edge is internal to every prefix from the step its later endpoint
+    # joins on; bin j * stride + step gets row j's edges in edge order, and
+    # an edge joining at steps[j] or later lands in a bin past its prefixes
+    stride = width + 1
+    bins = rank.take(ag.edge_u, axis=1)
+    np.maximum(bins, rank.take(ag.edge_v, axis=1), out=bins)
+    bins += row * stride
+    inner = np.bincount(bins.ravel(),
+                        weights=ag.edge_w[None].repeat(rows, axis=0).ravel(),
+                        minlength=rows * stride).reshape(rows, stride)[:, :width]
+    vols = ag.volumes.take(order)
+    vol_c = np.cumsum(vols, axis=1)
+    cut = np.cumsum(vols - 2.0 * inner, axis=1)
+    denom = np.minimum(vol_c, ag.total_volume - vol_c)
+    phi = np.full((rows, width), math.inf)
+    pos = (denom > 0) & valid
+    phi[pos] = eta(ag.interval, cfg) * cut[pos] / denom[pos]
+    # phi is inf past steps[j], so a finite limit leaves out the padding
+    ok = phi < limit if limit < math.inf else valid
+    found = ok.any(axis=1)
+    if not found.any():
+        return np.zeros(rows, dtype=np.int64), phi[:, 0]
+    # connectivity is checked only in rows where some prefix could qualify:
+    # every prefix is connected when each ranked node after the first has
+    # an earlier neighbour, so that some edge (of positive weight) joins at
+    # each step after the first, by induction on its length
+    certified = ((inner > 0) & valid).sum(axis=1) == steps - 1
+    for j in np.flatnonzero(found & ~certified):
+        s = steps[j]
+        rv = bins[j] - j * stride
+        inside = rv < s
+        ru = np.minimum(rank[j].take(ag.edge_u), rank[j].take(ag.edge_v))
+        ok[j, :s] &= _connected_prefixes(ru[inside], rv[inside], s)
+        found[j] = ok[j].any()
+    # the first lowest phi among the qualifying prefixes; a finite limit
+    # admits no inf phi, and without one the one-node prefix qualifies, so
+    # when every qualifying phi is inf the first of them is at 0
+    key = np.where(ok, phi, math.inf)
+    at = key.argmin(axis=1)
+    return (at + 1) * found, key.min(axis=1)
 
 
 def _connected_prefixes(ru: np.ndarray, rv: np.ndarray,
@@ -134,15 +177,11 @@ def _connected_prefixes(ru: np.ndarray, rv: np.ndarray,
     """Whether each prefix of ranks 0..i is connected, for i < steps, given
     the edges (ru, rv) among ranked nodes, ru < rv, once each.
 
-    When every ranked node after the first has an earlier neighbour, every
-    prefix is connected, by induction on its length. Otherwise: an edge lies
-    inside prefix i from step rv on. Weighted by that step, a minimum
-    spanning forest restricted to weights <= i spans the components of
-    prefix i (Kruskal), and, having no cycle, connects its i + 1 nodes iff
-    it has i edges.
+    An edge lies inside prefix i from step rv on. Weighted by that step, a
+    minimum spanning forest restricted to weights <= i spans the components
+    of prefix i (Kruskal), and, having no cycle, connects its i + 1 nodes
+    iff it has i edges.
     """
-    if np.bincount(rv, minlength=steps)[1:].all():
-        return np.ones(steps, dtype=bool)
     joins = sp.csr_matrix((rv + 1.0, (ru, rv)), shape=(steps, steps))
     tree = minimum_spanning_tree(joins)
     within = np.cumsum(np.bincount(tree.data.astype(np.int64) - 1,
@@ -163,17 +202,16 @@ def fiedler_sweep(g: TemporalGraph, iv: Interval, fiedler: np.ndarray,
     ag = aggregate(g, iv)
     support = np.flatnonzero(ag.volumes > 0)
     order = support[np.argsort(fiedler[support], kind="stable")]
-    best = None
-    for ranking in (order, order[::-1]):
-        try:
-            nodes, size, phi = sweep(ag, ranking, cfg, limit)
-        except NoConnectedPrefixError:
-            continue
-        if best is None or (phi, size) < best[:2]:
-            best = (phi, size, nodes)
-    if best is None:
+    steps = len(order) - 1
+    if steps <= 0:
         return None
-    nodes = best[2]
+    sizes, phis = sweep_rows(ag, np.stack([order, order[::-1]])[:, :steps],
+                             np.array([steps, steps]), cfg, limit)
+    found = [(phis[j], sizes[j], j) for j in (0, 1) if sizes[j]]
+    if not found:
+        return None
+    _, size, j = min(found)
+    nodes = frozenset((order if j == 0 else order[::-1])[:size].tolist())
     return TemporalCommunity(nodes=nodes, interval=iv,
                              phi=conductance(g, nodes, iv, cfg))
 
@@ -181,41 +219,73 @@ def fiedler_sweep(g: TemporalGraph, iv: Interval, fiedler: np.ndarray,
 def refine_bucket(g: TemporalGraph, bucket_entries: Sequence[tuple[int, int]],
                   cfg: NormalizationConfig,
                   params: WalkParams = WalkParams(),
-                  ag: AggregatedGraph | None = None,
-                  scores: np.ndarray | None = None) -> SweepResult:
-    """Expand bucket seeds into a community on the bucket's timestamp span.
-
-    Ranking: bucket nodes by within-bucket multiplicity (then walk score,
-    then index), followed by all remaining nodes by volume-normalized walk
-    score, so the sweep can grow beyond the bucket. A caller refining many
-    buckets with the same span may pass in the aggregated graph and, with
-    it, the bucket's column of a batched ``rwr_scores``.
-    """
+                  ag: AggregatedGraph | None = None) -> SweepResult:
+    """Expand bucket seeds into a community on the bucket's timestamp span:
+    the one-bucket case of ``refine_seedings``. A caller may pass in the
+    aggregated graph of the span."""
     if not bucket_entries:
         raise ValueError("bucket must be nonempty")
     ts = [t for _, t in bucket_entries]
     iv = Interval(min(ts), max(ts))
     if ag is None or ag.interval != iv:
-        ag, scores = aggregate(g, iv), None
-
-    seeds, multiplicity = np.unique([u for u, _ in bucket_entries],
-                                    return_counts=True)
-    if scores is None:
-        scores = rwr_scores(ag, [seeds], params)[:, 0]
-
-    bucket_rank = seeds[np.lexsort((seeds, -scores[seeds], -multiplicity))]
-    norm = np.zeros(g.n)
-    pos = ag.volumes > 0
-    norm[pos] = scores[pos] / ag.volumes[pos]
-    norm[seeds] = 0.0  # ranked already
-    rest = np.flatnonzero(norm > 0)
-    rest = rest[np.lexsort((rest, -norm[rest]))]
-    ranking = np.concatenate([bucket_rank, rest])
-
-    nodes, _, _ = sweep(ag, ranking, cfg)
-    phi = conductance(g, nodes, iv, cfg)
-    community = TemporalCommunity(nodes=nodes, interval=iv, phi=phi)
+        ag = aggregate(g, iv)
+    seeding = np.unique([u for u, _ in bucket_entries], return_counts=True)
+    (community,) = refine_seedings(g, ag, [seeding],
+                                   rwr_scores(ag, [seeding[0]], params), cfg)
+    if community is None:
+        raise NoConnectedPrefixError("no connected prefix in the ranking")
     return SweepResult(community=community)
+
+
+def refine_seedings(g: TemporalGraph, ag: AggregatedGraph,
+                    seedings: Sequence[tuple[Sequence[int], Sequence[int]]],
+                    scores: np.ndarray, cfg: NormalizationConfig,
+                    ) -> list[TemporalCommunity | None]:
+    """Expand each seeding on ag's interval into a community, or None when
+    its sweep finds no connected prefix.
+
+    A seeding is (seeds, multiplicities), seeds ascending and unique, and
+    column j of ``scores`` is its restart walk. Ranking: the seeds by
+    multiplicity (then walk score, then index), followed by every other node
+    of positive volume-normalized walk score by that score (then index), so
+    the sweep can grow beyond the bucket. One lexsort ranks a chunk of
+    seedings, one ``sweep_rows`` sweeps it, and one interval edge sum gives
+    its chosen sets' conductances; chunks keep each work array near
+    SWEEP_CHUNK_ELEMENTS entries.
+    """
+    n = g.n
+    vols = ag.volumes[:, None]
+    norm = np.divide(scores, vols, out=np.zeros_like(scores), where=vols > 0)
+    chunk = max(1, SWEEP_CHUNK_ELEMENTS // max(len(ag.edge_w), n + 1))
+    out: list[TemporalCommunity | None] = []
+    for lo in range(0, len(seedings), chunk):
+        part = seedings[lo:lo + chunk]
+        rows = len(part)
+        seeds = np.concatenate([seeds for seeds, _ in part])
+        row = np.repeat(np.arange(rows), [len(seeds) for seeds, _ in part])
+        # one sort key per (row, node), most significant last: seeds, then
+        # nodes of positive normalized score, then the rest, which no row
+        # ranks; seeds by -multiplicity, then -score, the others by -norm;
+        # ties keep node order
+        key = -norm[:, lo:lo + rows].T
+        group = np.where(key < 0, 1, 2).astype(np.int8)
+        group[row, seeds] = 0
+        key[row, seeds] = -np.concatenate([mult for _, mult in part])
+        score_key = np.zeros((rows, n))
+        score_key[row, seeds] = -scores[seeds, lo + row]
+        order = np.lexsort((score_key, key, group))
+        # the last ranked node of a row ends no evaluated prefix
+        steps = (group < 2).sum(axis=1) - 1
+        order = order[:, :max(1, steps.max())]
+        sizes, _ = sweep_rows(ag, order, steps, cfg)
+        members = np.zeros((rows, n), dtype=bool)
+        members[np.arange(rows)[:, None], order] = \
+            np.arange(order.shape[1]) < sizes[:, None]
+        phis = conductances(g, members, ag.interval, cfg)
+        out.extend(TemporalCommunity(nodes=frozenset(order[j, :size].tolist()),
+                                     interval=ag.interval, phi=phis[j])
+                   if size else None for j, size in enumerate(sizes))
+    return out
 
 
 def seed_rankings(ag: AggregatedGraph, seeds: Sequence[int],

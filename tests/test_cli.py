@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from tempocom import driver
 from tempocom.cli import main
 
 
@@ -76,6 +77,35 @@ class TestDetect:
         bad.write_text("tgraph 3 2\na b not_a_time 1.0\n")
         rc = main(["detect", "--input", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("args", [["--beta", "1"], ["--alpha", "-1"],
+                                      ["--scale-base", "1"], ["--rows", "0"]])
+    def test_invalid_parameter_exit_2(self, instance_path, tmp_path, capsys,
+                                      args):
+        rc = main(["detect", "--input", str(instance_path),
+                   "--out", str(tmp_path / "o")] + args)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("input error:")
+        assert not (tmp_path / "o").exists()
+
+    def test_graph_without_edges_exit_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.tgraph"
+        empty.write_text("tgraph 3 2\n")
+        rc = main(["detect", "--input", str(empty), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "has no edges" in capsys.readouterr().err
+
+    def test_pipeline_value_error_is_not_an_input_error(
+            self, instance_path, tmp_path, capsys, monkeypatch):
+        def failing(ag, seed_sets, params):
+            raise ValueError("walk solver failed")
+
+        monkeypatch.setattr(driver, "rwr_scores", failing)
+        with pytest.raises(ValueError, match="walk solver failed"):
+            main(["detect", "--input", str(instance_path), "--alpha", "0.2",
+                  "--rows", "2", "--min-entries", "3",
+                  "--out", str(tmp_path / "o")])
+        assert "input error" not in capsys.readouterr().err
 
 
 class TestPruneBoundsOracle:

@@ -52,21 +52,26 @@ class TestEstimateInitial:
 
     def test_probes_hash_what_the_window_rule_hashed(self, monkeypatch):
         # probes once hashed, at scale s = max(1, block length), every
-        # timestamp t with [t - s, t + s] meeting the block
+        # timestamp t with [t - s, t + s] meeting the block; probes whose
+        # timestamps and scale coincide are hashed once
         rng = np.random.default_rng(113)
         g = connected_random_instance(rng, 12, 16, density=0.4)
         cfg = RunConfig(alpha=0.2)
         bt = precompute(g, cfg.scale_base)
         want = estimate_initial(g, bt, cfg)
-        probes = iter(want[2])
+
+        def window(iv):
+            s = max(1, iv.length)
+            return (tuple(t for t in range(g.T)
+                          if iv.start <= t + s and t - s <= iv.end), s)
+
+        windows = iter(dict.fromkeys(map(window, want[2])))
         sizes = []
         hash_all = driver.hash_all
 
         def window_rule_hash_all(g, intervals, scales, **kw):
-            iv = next(probes)
-            (s,) = scales
-            assert s == max(1, iv.length)
-            ts = [t for t in range(g.T) if iv.start <= t + s and t - s <= iv.end]
+            ts, s = next(windows)
+            assert list(scales) == [s]
             buckets = hash_all(g, [Interval(t, t) for t in ts], scales, **kw)
             sizes.append(len(buckets))
             return buckets
@@ -74,8 +79,28 @@ class TestEstimateInitial:
         monkeypatch.setattr(driver, "hash_all", window_rule_hash_all)
         got = estimate_initial(g, bt, cfg)
         assert got == want
-        assert len(sizes) == cfg.probes and any(sizes)
+        assert len(sizes) == len(set(map(window, want[2]))) and any(sizes)
+        assert next(windows, None) is None
         assert any(0 < iv.start and iv.end < g.T - 1 for iv in want[2])
+
+    def test_probes_sharing_a_window_hash_it_once(self, monkeypatch):
+        # at T=64, blocks [0, 31] and [32, 63] both widen to [0, 63] at
+        # scale 32
+        rng = np.random.default_rng(127)
+        g = connected_random_instance(rng, 10, 64, density=0.3)
+        cfg = RunConfig(alpha=0.2, probes=200)
+        bt = precompute(g, cfg.scale_base)
+        calls = []
+        hash_all = driver.hash_all
+
+        def counting(g, intervals, scales, **kw):
+            calls.append((tuple(intervals), tuple(scales)))
+            return hash_all(g, intervals, scales, **kw)
+
+        monkeypatch.setattr(driver, "hash_all", counting)
+        _, _, probes = estimate_initial(g, bt, cfg)
+        assert {Interval(0, 31), Interval(32, 63)} <= set(probes)
+        assert len(calls) == len(set(calls)) < len(probes)
 
     def test_estimate_quality_on_desk_instances(self):
         rng = np.random.default_rng(109)

@@ -9,12 +9,13 @@ import pytest
 from conftest import (clique_graph, connected_random_instance, cycle_graph,
                       random_instance)
 from tempocom.graph import (Interval, NormalizationConfig, TemporalGraph,
-                            aggregate, conductance)
+                            aggregate, conductance, eta)
 from tempocom.graph import dense_adjacency
 from tempocom.oracle import brute_force_best, brute_force_min_phi
 from tempocom import refine
 from tempocom.refine import (NoConnectedPrefixError, WalkParams, fiedler_sweep,
-                             refine_bucket, rwr_scores, seed_rankings, sweep)
+                             refine_bucket, refine_seedings, rwr_scores,
+                             seed_rankings, sweep)
 from tempocom.spectral import exact_lambda2
 from tempocom.synth import SynthConfig, generate
 
@@ -427,3 +428,202 @@ class TestRefineBucket:
         res = refine_bucket(g, [(0, 1), (2, 2)], NormalizationConfig(0.0),
                             ag=wrong)
         assert res.community.interval == Interval(1, 2)
+
+
+# -- reference: the one-bucket-at-a-time refine and 1-D sweep -------------
+
+def reference_conductance(g, nodes, iv, cfg):
+    """graph.conductance as a direct sum over one membership mask."""
+    members = np.zeros(g.n, dtype=bool)
+    members[list(nodes)] = True
+    s = g.interval_edge_weights(iv)
+    in_u, in_v = members[g.edge_u], members[g.edge_v]
+    cut = float(s[in_u != in_v].sum())
+    vol_c = float(s[in_u].sum() + s[in_v].sum())
+    denom = min(vol_c, 2.0 * float(s.sum()) - vol_c)
+    if denom <= 0:
+        return math.inf
+    return eta(iv, cfg) * cut / denom
+
+
+def reference_sweep(ag, ranking, cfg, limit=math.inf):
+    """(nodes, size, phi) of the first lowest-phi connected prefix below
+    limit, or None; one ranking, cumulative sums along it."""
+    ranking = np.asarray(ranking, dtype=np.int64)
+    n = ag.n
+    steps = min(len(ranking) - 1, n - 1)
+    if steps <= 0:
+        return None
+    order = ranking[:steps]
+    rank = np.full(n, steps, dtype=np.int64)
+    rank[order] = np.arange(steps)
+    ra, rb = rank[ag.edge_u], rank[ag.edge_v]
+    ru, rv = np.minimum(ra, rb), np.maximum(ra, rb)
+    inside = rv < steps
+    ru, rv = ru[inside], rv[inside]
+    inner = np.bincount(rv, weights=ag.edge_w[inside], minlength=steps)
+    vols = ag.volumes[order]
+    vol_c = np.cumsum(vols)
+    cut = np.cumsum(vols - 2.0 * inner)
+    denom = np.minimum(vol_c, ag.total_volume - vol_c)
+    phi = np.full(steps, math.inf)
+    pos = denom > 0
+    phi[pos] = eta(ag.interval, cfg) * cut[pos] / denom[pos]
+    ok = phi < limit if limit < math.inf else np.ones(steps, dtype=bool)
+    if ok.any():
+        G = nx.Graph()
+        G.add_nodes_from(range(steps))
+        for i in range(steps):
+            G.add_edges_from((int(a), int(b)) for a, b in zip(ru, rv)
+                             if b == i)
+            ok[i] &= nx.is_connected(G.subgraph(range(i + 1)))
+    if not ok.any():
+        return None
+    i = int(np.flatnonzero(ok)[np.argmin(phi[ok])])
+    return frozenset(order[:i + 1].tolist()), i + 1, float(phi[i])
+
+
+def reference_refine(g, ag, seeds, multiplicity, scores, cfg):
+    """(nodes, interval, phi) of one bucket's refinement, or None."""
+    bucket_rank = seeds[np.lexsort((seeds, -scores[seeds], -multiplicity))]
+    norm = np.zeros(g.n)
+    pos = ag.volumes > 0
+    norm[pos] = scores[pos] / ag.volumes[pos]
+    norm[seeds] = 0.0
+    rest = np.flatnonzero(norm > 0)
+    rest = rest[np.lexsort((rest, -norm[rest]))]
+    found = reference_sweep(ag, np.concatenate([bucket_rank, rest]), cfg)
+    if found is None:
+        return None
+    nodes = found[0]
+    return nodes, ag.interval, reference_conductance(g, nodes, ag.interval, cfg)
+
+
+def bits(result):
+    return None if result is None else (result[0], result[1],
+                                        float(result[2]).hex())
+
+
+def seeding_instances(rng):
+    """(graph, interval) pairs: sparse random graphs, most of them
+    disconnected on the interval, and symmetric ones with tied walk
+    scores."""
+    for _ in range(30):
+        n = int(rng.integers(4, 22))
+        T = int(rng.integers(1, 5))
+        g = random_instance(rng, n, T, density=float(rng.uniform(0.08, 0.4)))
+        start = int(rng.integers(T))
+        yield g, Interval(start, int(rng.integers(start, T)))
+    yield clique_graph(6, T=2), Interval(0, 1)
+    yield cycle_graph(8), Interval(0, 0)
+    yield cycle_graph(7, T=3), Interval(1, 2)
+
+
+class TestFiedlerSweepMatchesTwoSweeps:
+    def test_random_instances(self):
+        # the better of an ascending and a descending sweep, the ascending
+        # one on ties, with and without a limit
+        rng = np.random.default_rng(199)
+        cfg = NormalizationConfig(0.2)
+        for g, iv in seeding_instances(rng):
+            ag = aggregate(g, iv)
+            support = np.flatnonzero(ag.volumes > 0)
+            # rounded scores tie often, and stable ordering keeps index order
+            fiedler = np.round(rng.normal(size=g.n), 1)
+            order = support[np.argsort(fiedler[support], kind="stable")]
+            for limit in (math.inf, float(rng.uniform(0.1, 1.0))):
+                found = [(r[2], r[1], r[0]) for r in (
+                    reference_sweep(ag, order, cfg, limit),
+                    reference_sweep(ag, order[::-1], cfg, limit))
+                    if r is not None]
+                cand = fiedler_sweep(g, iv, fiedler, cfg, limit)
+                if not found:
+                    assert cand is None
+                    continue
+                phi, _, nodes = min(found, key=lambda f: f[:2])
+                assert cand.nodes == nodes
+                assert cand.phi == reference_conductance(g, nodes, iv, cfg)
+
+
+class TestRefineSeedingsMatchesPerBucketRefine:
+    @pytest.mark.parametrize("one_row_chunks", [False, True])
+    def test_random_instances(self, monkeypatch, one_row_chunks):
+        if one_row_chunks:
+            monkeypatch.setattr(refine, "SWEEP_CHUNK_ELEMENTS", 1)
+        forests = []
+        mst = refine.minimum_spanning_tree
+        monkeypatch.setattr(refine, "minimum_spanning_tree",
+                            lambda *a: forests.append(1) or mst(*a))
+        rng = np.random.default_rng(191)
+        cfg = NormalizationConfig(0.2)
+        seen = {"none": 0, "found": 0, "lengths": 0, "tied": 0}
+        for g, iv in seeding_instances(rng):
+            ag = aggregate(g, iv)
+            if ag.total_volume == 0:
+                continue
+            seedings = []
+            for _ in range(int(rng.integers(1, 9))):
+                k = int(rng.integers(1, min(4, g.n) + 1))
+                seeds = np.sort(rng.choice(g.n, size=k, replace=False))
+                seedings.append((seeds, rng.integers(1, 3, size=k)))
+            scores = rwr_scores(ag, [seeds for seeds, _ in seedings])
+            got = refine_seedings(g, ag, seedings, scores, cfg)
+            assert len(got) == len(seedings)
+            lengths = set()
+            for j, ((seeds, mult), res) in enumerate(zip(seedings, got)):
+                want = reference_refine(g, ag, seeds, mult, scores[:, j], cfg)
+                assert bits(None if res is None else
+                            (res.nodes, res.interval, res.phi)) == bits(want)
+                seen["none" if want is None else "found"] += 1
+                lengths.add(int((scores[:, j] > 0).sum()))
+                seen["tied"] += len(set(mult)) < len(mult)
+            seen["lengths"] += len(lengths) > 1
+        assert all(seen.values()), seen
+        assert forests
+
+    def test_refine_bucket_is_the_one_bucket_case(self):
+        rng = np.random.default_rng(193)
+        cfg = NormalizationConfig(0.2)
+        for g, iv in seeding_instances(rng):
+            entries = [(int(u), t) for u in rng.choice(g.n, size=3)
+                       for t in (iv.start, iv.end)]
+            ag = aggregate(g, iv)
+            seeds, mult = np.unique([u for u, _ in entries],
+                                    return_counts=True)
+            want = reference_refine(g, ag, seeds, mult,
+                                    rwr_scores(ag, [seeds])[:, 0], cfg)
+            try:
+                c = refine_bucket(g, entries, cfg).community
+                got = (c.nodes, c.interval, c.phi)
+            except NoConnectedPrefixError:
+                got = None
+            assert bits(got) == bits(want)
+
+
+class TestSweepRows:
+    def test_rows_match_one_dimensional_sweeps(self):
+        # rows of different lengths, padded with the rest of a permutation,
+        # each checked against a sweep of its ranking alone, with and
+        # without a limit
+        rng = np.random.default_rng(197)
+        for trial in range(40):
+            n = int(rng.integers(3, 16))
+            g = random_instance(rng, n, 2, density=float(rng.uniform(0.1, 0.6)))
+            ag = agg(g)
+            if ag.total_volume == 0:
+                continue
+            cfg = NormalizationConfig(0.2)
+            perms = [rng.permutation(n) for _ in range(int(rng.integers(1, 6)))]
+            rankings = [p[:int(rng.integers(2, n + 1))] for p in perms]
+            steps = np.array([len(r) - 1 for r in rankings])
+            order = np.stack(perms)[:, :steps.max()]
+            for limit in (math.inf, float(rng.uniform(0.05, 1.5))):
+                sizes, phis = refine.sweep_rows(ag, order, steps, cfg, limit)
+                for j, r in enumerate(rankings):
+                    want = reference_sweep(ag, r, cfg, limit)
+                    if want is None:
+                        assert sizes[j] == 0
+                        continue
+                    assert (frozenset(r[:sizes[j]].tolist()), int(sizes[j]),
+                            float(phis[j]).hex()) == \
+                        (want[0], want[1], want[2].hex())
