@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -47,6 +46,12 @@ class RunConfig:
             raise ValueError("beta must be in (0, 1)")
         if self.rows < 1 or self.bands < 1:
             raise ValueError("rows and bands must be positive")
+        if self.seed < 0 or self.probes < 0:
+            raise ValueError("seed and probes must be nonnegative")
+        if min(self.topk, self.threads, self.min_entries) < 1:
+            raise ValueError("topk, threads and min entries must be positive")
+        if not self.span_cap > 0:  # NaN included; inf admits every bucket
+            raise ValueError("span cap must be positive")
 
     def norm(self) -> NormalizationConfig:
         return NormalizationConfig(self.alpha)
@@ -134,7 +139,7 @@ def estimate_initial(g: TemporalGraph, bt: BoundsTable, cfg: RunConfig,
         if not buckets:
             continue
         try:
-            result = refine_bucket(g, buckets[0].entries, norm, cfg.walk)
+            result = refine_bucket(g, buckets[0], norm, cfg.walk)
         except NoConnectedPrefixError:
             continue
         if math.isfinite(result.community.phi):
@@ -213,8 +218,7 @@ def detect(g: TemporalGraph, cfg: RunConfig) -> DetectionState:
         # first pass: span cap and deduplication; the surviving seedings
         # are grouped by interval, in bucket order
         seedings = []
-        groups: dict[Interval, list[tuple[tuple, tuple]]] = {}
-        seen_seedings: set = set()
+        groups: dict[Interval, dict] = {}
         for bucket in buckets:
             lo, hi = bucket.span
             # entries spanning far beyond the hashing scale collide by chance,
@@ -223,42 +227,36 @@ def detect(g: TemporalGraph, cfg: RunConfig) -> DetectionState:
             # distant ones can still share a bucket)
             if hi - lo + 1 > cfg.span_cap * bucket.key.scale:
                 continue
+            # refinement depends on a bucket only through its span and
+            # seeding, so collapse equivalent buckets across bands
             iv = Interval(lo, hi)
-            # refinement depends on a bucket only through its span and node
-            # multiplicities, so collapse equivalent buckets across bands
-            counts = tuple(sorted(Counter(u for u, _ in bucket.entries).items()))
-            seed_key = (iv, counts)
-            if seed_key in seen_seedings:
+            group = groups.setdefault(iv, {})
+            if bucket.seeding in group:
                 continue
-            seen_seedings.add(seed_key)
-            group = groups.setdefault(iv, [])
             seedings.append((iv, len(group)))
-            group.append(tuple(zip(*counts)))
+            group[bucket.seeding] = None
 
-        # second pass: the bound decides bucket by bucket against the
-        # current incumbent. An interval's first refined bucket aggregates
-        # it, solves the walks of all its seedings from there on and refines
-        # them in one batch; a result is used only if its bucket is refined
-        # when its turn comes, and the batch is dropped after the interval's
-        # last seeding
-        batches: dict[Interval, tuple] = {}
+        # second pass: the bound decides seeding by seeding against the
+        # current incumbent. An interval's bound is fixed here and the
+        # incumbent only falls, so a seeding is refined only if its
+        # interval's first one was: that one refines all of the interval's
+        # seedings in one batch, whose result for a seeding is used if that
+        # seeding is refined, dropped after the interval's last seeding
+        batches: dict[Interval, list] = {}
         for iv, k in seedings:
-            group = groups[iv]
             bound_half = pruner.half_bound(iv)
             refined = bound_half < phi_star
             bucket_log.append(BucketDecision(iv, bound_half, phi_star, refined))
-            if refined and iv not in batches:
+            if refined and k == 0:
+                group = list(groups[iv])
                 ag = aggregate(g, iv)
-                scores = rwr_scores(ag, [seeds for seeds, _ in group[k:]],
-                                    cfg.walk)
-                batches[iv] = (k, refine_seedings(g, ag, group[k:], scores,
-                                                  norm))
-            batch = (batches.pop(iv, None) if k == len(group) - 1
+                scores = rwr_scores(ag, [seeds for seeds, _ in group], cfg.walk)
+                batches[iv] = refine_seedings(g, ag, group, scores, norm)
+            cands = (batches.pop(iv, None) if k == len(groups[iv]) - 1
                      else batches.get(iv))
             if not refined:
                 continue
-            first, cands = batch
-            cand = cands[k - first]
+            cand = cands[k]
             if cand is None:
                 continue
             _add_candidate(results, cand)

@@ -92,7 +92,6 @@ class TemporalGraph:
             raise ValueError("negative weights are not allowed")
 
         self.labels = tuple(str(x) for x in labels)
-        self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         self.n = n
         self.T = timeline
         self.edge_u = edge_u
@@ -113,7 +112,7 @@ class TemporalGraph:
         Duplicate (u, v, t) records are merged by summing weights.
         """
         n = len(labels)
-        merged: dict[tuple[int, int], dict[int, float]] = {}
+        records = list(records)
         for u, v, t, w in records:
             if u == v:
                 raise GraphFormatError(f"self-loop on node {labels[u]!r}")
@@ -124,17 +123,8 @@ class TemporalGraph:
                     f"timestamp {t} outside declared timeline [0, {timeline - 1}]")
             if not (w > 0):
                 raise GraphFormatError(f"non-positive weight {w}")
-            key = (u, v) if u < v else (v, u)
-            merged.setdefault(key, {})
-            merged[key][t] = merged[key].get(t, 0.0) + w
-        edges = sorted(merged)
-        edge_u = np.array([e[0] for e in edges], dtype=np.int64)
-        edge_v = np.array([e[1] for e in edges], dtype=np.int64)
-        weights = np.zeros((len(edges), timeline), dtype=np.float64, order="F")
-        for i, e in enumerate(edges):
-            for t, w in merged[e].items():
-                weights[i, t] = w
-        return cls(labels, timeline, edge_u, edge_v, weights)
+        u, v, t, w = zip(*records) if records else ((),) * 4
+        return _from_columns(labels, timeline, u, v, t, w)
 
     def interval_edge_weights(self, iv: Interval) -> np.ndarray:
         """Aggregate weight per edge over [iv.start, iv.end].
@@ -151,6 +141,20 @@ class TemporalGraph:
 
     def full_interval(self) -> Interval:
         return Interval(0, self.T - 1)
+
+
+def _from_columns(labels: Sequence[str], timeline: int, u, v, t,
+                  w) -> TemporalGraph:
+    """The graph of checked (u, v, t, w) records as four columns: edges in
+    (min, max) order, ascending; duplicates summed from 0.0 in record order."""
+    n = len(labels)
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    pairs, edge = np.unique(np.minimum(u, v) * n + np.maximum(u, v),
+                            return_inverse=True)
+    weights = np.zeros((len(pairs), timeline), order="F")
+    np.add.at(weights, (edge, np.asarray(t, dtype=np.int64)),
+              np.asarray(w, dtype=np.float64))
+    return TemporalGraph(labels, timeline, *np.divmod(pairs, n), weights)
 
 
 @dataclass(frozen=True)
@@ -184,8 +188,9 @@ def aggregate(g: TemporalGraph, iv: Interval) -> AggregatedGraph:
     s = g.interval_edge_weights(iv)
     keep = s > 0
     u, v, w = g.edge_u[keep], g.edge_v[keep], s[keep]
+    # float even with no edge, where a weighted bincount is integer
     volumes = (np.bincount(u, weights=w, minlength=g.n)
-               + np.bincount(v, weights=w, minlength=g.n))
+               + np.bincount(v, weights=w, minlength=g.n)).astype(np.float64)
     volumes.setflags(write=False)
     return AggregatedGraph(interval=iv, n=g.n, edge_u=u, edge_v=v, edge_w=w,
                            volumes=volumes)
@@ -236,12 +241,18 @@ def conductances(g: TemporalGraph, members: np.ndarray, iv: Interval,
     s = g.interval_edge_weights(iv)
     total = 2.0 * float(s.sum())
     scale = eta(iv, cfg)
-    out = []
-    for in_u, in_v in zip(members.take(g.edge_u, axis=1),
-                          members.take(g.edge_v, axis=1)):
+    out, node_vols = [], None
+    for row, in_u, in_v in zip(members, members.take(g.edge_u, axis=1),
+                               members.take(g.edge_v, axis=1)):
         cut = float(s[in_u != in_v].sum())
-        vol_c = float(s[in_u].sum() + s[in_v].sum())
-        denom = min(vol_c, total - vol_c)
+        denom = vol_c = float(s[in_u].sum() + s[in_v].sum())
+        if vol_c > total - vol_c:
+            # the complement's volume is summed over its nodes: as
+            # total - vol_c it cancels when it is tiny beside the total
+            if node_vols is None:
+                node_vols = (np.bincount(g.edge_u, weights=s, minlength=g.n)
+                             + np.bincount(g.edge_v, weights=s, minlength=g.n))
+            denom = float(node_vols[~row].sum())
         out.append(INFINITE_CONDUCTANCE if denom <= 0 else scale * cut / denom)
     return out
 
@@ -255,7 +266,7 @@ def load(path) -> TemporalGraph:
     never seen in records are still allocated up to the declared node count.
     """
     header = None
-    records = []
+    us, vs, ts, ws = [], [], [], []
     total = 0.0
     labels: list[str] = []
     index: dict[str, int] = {}
@@ -310,9 +321,10 @@ def load(path) -> TemporalGraph:
                     raise GraphFormatError(
                         f"line {lineno}: weight {parts[3]} takes the total "
                         "volume past the float range")
-                u = node_id(parts[0], lineno, n_nodes)
-                v = node_id(parts[1], lineno, n_nodes)
-                records.append((u, v, t, w))
+                us.append(node_id(parts[0], lineno, n_nodes))
+                vs.append(node_id(parts[1], lineno, n_nodes))
+                ts.append(t)
+                ws.append(w)
     except UnicodeDecodeError as exc:
         # a second read, only on failure, finds the line of the first
         # undecodable byte, which surrogateescape maps to U+DC80..U+DCFF
@@ -330,4 +342,6 @@ def load(path) -> TemporalGraph:
             filler += 1
         index[str(filler)] = len(labels)
         labels.append(str(filler))
-    return TemporalGraph.from_records(labels, timeline, records)
+    # the checks above cover what from_records checks, and every id is below
+    # the declared node count
+    return _from_columns(labels, timeline, us, vs, ts, ws)

@@ -33,7 +33,6 @@ def connected_subsets_min_phi(adj: np.ndarray, vols: np.ndarray, e: float,
     graph, by canonical grow-from-root enumeration (each connected induced
     subgraph is visited exactly once, rooted at its smallest node)."""
     n = len(vols)
-    total = float(vols.sum())
     nbr = [0] * n
     for u in range(n):
         m = 0
@@ -42,41 +41,44 @@ def connected_subsets_min_phi(adj: np.ndarray, vols: np.ndarray, e: float,
                 m |= 1 << int(v)
         nbr[u] = m
     full = (1 << n) - 1
+    rows, vol_of = adj.tolist(), vols.tolist()
 
     best_phi = math.inf
     best_key = None
     best_set: Optional[frozenset[int]] = None
 
-    def consider(mask: int, vol: float, internal: float):
+    def consider(mask: int, vol: float):
         nonlocal best_phi, best_key, best_set
         if mask == full:
             return
-        denom = min(vol, total - vol)
+        nodes = tuple(_mask_bits(mask))
+        rest = list(_mask_bits(full & ~mask))
+        # the cut and the complement's volume are direct sums of nonnegative
+        # terms: as differences of larger sums (vol - 2 internal, total -
+        # vol) they cancel when a small cut or volume sits beside heavy
+        # weights, down to a negative phi
+        denom = min(vol, sum([vol_of[v] for v in rest]))
         if denom <= 0:
             return
-        phi = e * (vol - 2.0 * internal) / denom
+        phi = e * sum([rows[u][v] for u in nodes for v in rest]) / denom
         if phi > best_phi:
             return
-        nodes = tuple(_mask_bits(mask))
         key = (phi, len(nodes), nodes)
         if best_key is None or key < best_key:
             best_phi, best_key, best_set = phi, key, frozenset(nodes)
 
-    def rec(mask: int, ext: int, nbhd: int, above: int, vol: float, internal: float):
-        consider(mask, vol, internal)
+    def rec(mask: int, ext: int, nbhd: int, above: int, vol: float):
+        consider(mask, vol)
         while ext:
             low = ext & (-ext)
             w = low.bit_length() - 1
             ext ^= low
-            add_internal = float(adj[w][list(_mask_bits(mask))].sum())
             excl = nbr[w] & ~(mask | nbhd) & above
-            rec(mask | low, ext | excl, nbhd | nbr[w], above,
-                vol + float(vols[w]), internal + add_internal)
+            rec(mask | low, ext | excl, nbhd | nbr[w], above, vol + vol_of[w])
 
     for root in range(n):
         above = full & ~((1 << (root + 1)) - 1)
-        rec(1 << root, nbr[root] & above, nbr[root], above,
-            float(vols[root]), 0.0)
+        rec(1 << root, nbr[root] & above, nbr[root], above, vol_of[root])
     return best_phi, best_set
 
 

@@ -15,6 +15,7 @@ from scipy.sparse.linalg import splu
 from .graph import (AggregatedGraph, Interval, NormalizationConfig,
                     TemporalCommunity, TemporalGraph, aggregate, conductance,
                     conductances, eta)
+from .tlsh import Bucket
 
 DEFAULT_RESTART = 0.15
 # above this many positive-volume nodes the walk system is factored sparse
@@ -216,20 +217,12 @@ def fiedler_sweep(g: TemporalGraph, iv: Interval, fiedler: np.ndarray,
                              phi=conductance(g, nodes, iv, cfg))
 
 
-def refine_bucket(g: TemporalGraph, bucket_entries: Sequence[tuple[int, int]],
-                  cfg: NormalizationConfig,
-                  params: WalkParams = WalkParams(),
-                  ag: AggregatedGraph | None = None) -> SweepResult:
-    """Expand bucket seeds into a community on the bucket's timestamp span:
-    the one-bucket case of ``refine_seedings``. A caller may pass in the
-    aggregated graph of the span."""
-    if not bucket_entries:
-        raise ValueError("bucket must be nonempty")
-    ts = [t for _, t in bucket_entries]
-    iv = Interval(min(ts), max(ts))
-    if ag is None or ag.interval != iv:
-        ag = aggregate(g, iv)
-    seeding = np.unique([u for u, _ in bucket_entries], return_counts=True)
+def refine_bucket(g: TemporalGraph, bucket: Bucket, cfg: NormalizationConfig,
+                  params: WalkParams = WalkParams()) -> SweepResult:
+    """Expand a bucket's seeding into a community on the bucket's span: the
+    one-bucket case of ``refine_seedings``."""
+    ag = aggregate(g, Interval(*bucket.span))
+    seeding = bucket.seeding
     (community,) = refine_seedings(g, ag, [seeding],
                                    rwr_scores(ag, [seeding[0]], params), cfg)
     if community is None:

@@ -3,6 +3,7 @@ and one injected high-contrast temporal community."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import networkx as nx
@@ -26,6 +27,11 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be >= 0")
+        if not (0 < self.mean_weight < math.inf):  # NaN included
+            raise ValueError(f"mean weight {self.mean_weight} must be "
+                             "finite and > 0")
         if self.contrast < 1:
             raise ValueError("contrast must be >= 1")
         if self.planted_length > self.timeline:

@@ -10,8 +10,6 @@ import numpy as np
 
 from .graph import TemporalGraph
 
-DEFAULT_BUCKET_CAP = 4096
-
 
 def weighted_jaccard(a: Mapping[int, float], b: Mapping[int, float]) -> float:
     """Ratio of per-key min-sums to max-sums; absent keys count as weight 0."""
@@ -92,13 +90,11 @@ class TemporalPivotHasher:
         if k < 1:
             raise ValueError("need at least one pivot")
         rng = np.random.default_rng(seed)
-        self.k = k
-        self.T = T
         self.pivots = np.sort(rng.uniform(0.0, T, k))
 
-    def pivot_hash(self, t: float) -> int:
-        i = int(np.searchsorted(self.pivots, t, side="left"))
-        return i + 1 if i < self.k else self.k + 1
+    def pivot_hash(self, t):
+        """Pivot index of a timestamp, or of each of an array of them."""
+        return np.searchsorted(self.pivots, t) + 1
 
 
 def optimal_pivots(delta_star: int, T: int) -> int:
@@ -121,19 +117,14 @@ class CompositeSignature:
 
 @dataclass
 class Bucket:
+    """Entries (node, timestamp) sharing one key, ascending; their span, the
+    (first, last) timestamp; and their seeding, (nodes ascending, entries
+    per node), the bucket as refine uses it."""
+
     key: CompositeSignature
     entries: list[tuple[int, int]]
-
-    @property
-    def span(self) -> tuple[int, int]:
-        ts = [t for _, t in self.entries]
-        return (min(ts), max(ts))
-
-    @property
-    def fill_factor(self) -> float:
-        nodes = {u for u, _ in self.entries}
-        times = {t for _, t in self.entries}
-        return len(self.entries) / (len(nodes) * len(times))
+    span: tuple[int, int]
+    seeding: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def scale_ladder(T: int) -> list[int]:
@@ -153,24 +144,9 @@ def _eligible_timestamps(T: int, starts: np.ndarray,
     return np.cumsum(diff[:-1]) > 0
 
 
-def _split_oversized(bucket: Bucket, cap: int) -> list[Bucket]:
-    if len(bucket.entries) <= cap:
-        return [bucket]
-    ts = sorted(t for _, t in bucket.entries)
-    median = ts[len(ts) // 2]
-    lo = [e for e in bucket.entries if e[1] < median]
-    hi = [e for e in bucket.entries if e[1] >= median]
-    if not lo or not hi:  # all entries share one timestamp; nothing to split
-        return [bucket]
-    out = []
-    for part in (lo, hi):
-        out.extend(_split_oversized(Bucket(bucket.key, part), cap))
-    return out
-
-
 def hash_all(g: TemporalGraph, intervals, scales: Sequence[int], r: int, b: int,
-             seed: int, bucket_cap: int = DEFAULT_BUCKET_CAP,
-             min_entries: int = 2, span_cap: float = math.inf) -> list[Bucket]:
+             seed: int, min_entries: int = 2,
+             span_cap: float = math.inf) -> list[Bucket]:
     """Hash every (node, timestamp) inside an interval short enough for the
     scale: at scale s, only the timestamps of the given intervals no longer
     than ``span_cap * s``.
@@ -184,10 +160,9 @@ def hash_all(g: TemporalGraph, intervals, scales: Sequence[int], r: int, b: int,
     slicing them per band preserves the banding law.
 
     A bucket holds the entries sharing one (scale, band, pivot index, r
-    minhash values) key, if there are at least ``min_entries``; one above
-    ``bucket_cap`` is split by median timestamp. Buckets come by descending
-    fill factor, then size, then ascending key, the parts of one split
-    bucket in split order; entries by ascending (node, timestamp).
+    minhash values) key, if there are at least ``min_entries``. Buckets come
+    by descending fill factor (entries over nodes times timestamps), then
+    size, then ascending key; entries by ascending (node, timestamp).
     """
     iv_starts, iv_ends = np.array(intervals, dtype=np.int64).reshape(-1, 2).T
     if not len(iv_starts):
@@ -203,7 +178,7 @@ def hash_all(g: TemporalGraph, intervals, scales: Sequence[int], r: int, b: int,
     owner, inc_keys, inc_eids = owner[order], inc_keys[order], inc_eids[order]
 
     buckets: list[Bucket] = []
-    ranks: list[tuple[float, int, int]] = []  # (fill factor, size, scale)
+    ranks = [np.empty((3, 0))]  # per scale: fill factor, size, scale
     for s in scales:
         usable = iv_lengths <= span_cap * s
         elig = _eligible_timestamps(g.T, iv_starts[usable], iv_ends[usable])
@@ -255,9 +230,9 @@ def hash_all(g: TemporalGraph, intervals, scales: Sequence[int], r: int, b: int,
         m = sum(counts)
         graph_part = (np.concatenate(packed_rows).reshape(m, b, r)
                       .transpose(1, 0, 2).reshape(b * m, r))
-        time_parts = np.repeat([[ph.pivot_hash(t) for ph in pivot_hashers]
-                                for t in hashed], counts, axis=0)
-        band_time = (np.arange(b)[:, None] * (k + 2) + time_parts.T).ravel()
+        time_parts = np.repeat([ph.pivot_hash(hashed) for ph in pivot_hashers],
+                               counts, axis=1)
+        band_time = (np.arange(b)[:, None] * (k + 2) + time_parts).ravel()
         entry = np.tile(np.concatenate(nodes) * g.T + np.repeat(hashed, counts), b)
         order = np.lexsort((entry, *graph_part.T[::-1], band_time))
         graph_part, band_time, entry = graph_part[order], band_time[order], entry[order]
@@ -274,28 +249,35 @@ def hash_all(g: TemporalGraph, intervals, scales: Sequence[int], r: int, b: int,
         band, time_part = np.divmod(band_time[heads], k + 2)
         graph_part, size, new = graph_part[heads], size[keep], new[kept]
         node, time = np.divmod(entry[kept], g.T)
-        # a bucket's entries run by node, then timestamp, each once
+        # a bucket's entries run by node, then timestamp, each once; its
+        # seeding is its node runs, its span the extremes of its timestamps
+        begin = np.flatnonzero(new)
         new_node = new.copy()
         new_node[1:] |= node[1:] != node[:-1]
-        n_nodes = np.add.reduceat(new_node, np.flatnonzero(new))
+        n_nodes = np.add.reduceat(new_node, begin)
         n_times = np.bincount(np.unique((np.cumsum(new) - 1) * g.T + time) // g.T)
-        fill = size / (n_nodes * n_times)
+        ranks.append([size / (n_nodes * n_times), size, np.full(len(size), s)])
+        runs = np.flatnonzero(new_node)
+        # tuples, so that a bucket's slice of them is its seeding's tuple
+        run_node = tuple(node[runs].tolist())
+        run_len = tuple(np.diff(runs, append=len(node)).tolist())
+        spans = zip(np.minimum.reduceat(time, begin).tolist(),
+                    np.maximum.reduceat(time, begin).tolist())
         node, time = node.tolist(), time.tolist()
-        hi = 0
-        for j, tp, gp, n_entries, ff in zip(
+        hi = hi_run = 0
+        for j, tp, gp, n_entries, n_runs, span in zip(
                 band.tolist(), time_part.tolist(), graph_part.tolist(),
-                size.tolist(), fill.tolist()):
+                size.tolist(), n_nodes.tolist(), spans):
             lo, hi = hi, hi + n_entries
-            bucket = Bucket(CompositeSignature(s, j, tp, tuple(gp)),
-                            list(zip(node[lo:hi], time[lo:hi])))
-            for part in _split_oversized(bucket, bucket_cap):
-                buckets.append(part)
-                ranks.append((ff if part is bucket else part.fill_factor,
-                              len(part.entries), s))
+            lo_run, hi_run = hi_run, hi_run + n_runs
+            buckets.append(Bucket(CompositeSignature(s, j, tp, tuple(gp)),
+                                  list(zip(node[lo:hi], time[lo:hi])), span,
+                                  (run_node[lo_run:hi_run],
+                                   run_len[lo_run:hi_run])))
 
-    # stable: ties keep the key order, and split order, of the list
-    fill, size, scale = np.array(ranks, dtype=np.float64).reshape(-1, 3).T
-    return [buckets[i] for i in np.lexsort((scale, -size, -fill))]
+    # stable: ties keep the key order of the list
+    fill, size, scale = np.concatenate(ranks, axis=1)
+    return [buckets[i] for i in np.lexsort((scale, -size, -fill)).tolist()]
 
 
 # ---------------------------------------------------------------------------

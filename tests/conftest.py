@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from tempocom.graph import TemporalGraph
+from tempocom.tlsh import Bucket, CompositeSignature
 
 
 def random_instance(rng: np.random.Generator, n: int, T: int,
@@ -57,3 +60,12 @@ def cycle_graph(n: int, T: int = 1, weight: float = 1.0) -> TemporalGraph:
     records = [(u, (u + 1) % n, t, weight) for u in range(n) for t in range(T)]
     fixed = [(min(u, v), max(u, v), t, w) for (u, v, t, w) in records]
     return TemporalGraph.from_records([str(i) for i in range(n)], T, fixed)
+
+
+def bucket_of(entries, key=CompositeSignature(1, 0, 1, (0,))) -> Bucket:
+    """A bucket of the given (node, timestamp) entries, with the span and
+    seeding that hash_all would give it."""
+    entries = sorted(entries)
+    ts = [t for _, t in entries]
+    seeding = tuple(zip(*sorted(Counter(u for u, _ in entries).items())))
+    return Bucket(key, entries, (min(ts), max(ts)), seeding)

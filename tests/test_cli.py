@@ -41,6 +41,19 @@ class TestGenerate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("args", [
+        ["--mean-weight", "0"], ["--mean-weight", "-1"],
+        ["--mean-weight", "nan"], ["--mean-weight", "inf"], ["--seed", "-1"]])
+    def test_invalid_parameter_exit_2(self, tmp_path, capsys, args):
+        out = tmp_path / "x.tgraph"
+        rc = main(["generate", "--out", str(out), "--nodes", "10",
+                   "--attachment", "2", "--timeline", "4",
+                   "--planted-nodes", "3", "--planted-length", "2"] + args)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("input error:")
+        assert not out.exists()
+
+
 class TestDetect:
     def test_outputs_written(self, instance_path, tmp_path):
         out = tmp_path / "run"
@@ -78,8 +91,12 @@ class TestDetect:
         rc = main(["detect", "--input", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    @pytest.mark.parametrize("args", [["--beta", "1"], ["--alpha", "-1"],
-                                      ["--scale-base", "1"], ["--rows", "0"]])
+    @pytest.mark.parametrize("args", [
+        ["--beta", "1"], ["--alpha", "-1"], ["--scale-base", "1"],
+        ["--rows", "0"], ["--seed", "-1"], ["--topk", "-1"], ["--topk", "0"],
+        ["--probes", "-1"], ["--threads", "0"], ["--min-entries", "-5"],
+        ["--min-entries", "0"], ["--span-cap", "nan"], ["--span-cap", "-1"],
+        ["--span-cap", "0"]])
     def test_invalid_parameter_exit_2(self, instance_path, tmp_path, capsys,
                                       args):
         rc = main(["detect", "--input", str(instance_path),
@@ -87,6 +104,14 @@ class TestDetect:
         assert rc == 2
         assert capsys.readouterr().err.startswith("input error:")
         assert not (tmp_path / "o").exists()
+
+    def test_boundary_parameters_accepted(self, instance_path, tmp_path):
+        rc = main(["detect", "--input", str(instance_path), "--probes", "0",
+                   "--min-entries", "1", "--span-cap", "inf", "--topk", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert len((tmp_path / "o" / "communities.jsonl").read_text()
+                   .splitlines()) == 1
 
     def test_graph_without_edges_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.tgraph"

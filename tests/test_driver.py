@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import clique_graph, connected_random_instance
 from tempocom import driver
@@ -280,3 +282,37 @@ class TestDetect:
             assert v.status in (STATUS_UNPRUNED, STATUS_PROBED)
             assert v.bound_value == 0.0 and type(v.bound_value) is float
         assert any(v.status == STATUS_PROBED for v in verdicts)
+
+
+@st.composite
+def adversarial_graphs(draw):
+    """Tiny graphs of what the connected, uniform-weight instances of the
+    acceptance criteria leave out: isolated nodes, edges active at one
+    timestamp, disconnected snapshots and aggregates, duplicate records and
+    weights from 1e-6 to 1e6."""
+    n = draw(st.integers(3, 8))
+    T = draw(st.integers(1, 5))
+    node = st.integers(0, n - 1)
+    weight = st.one_of(st.sampled_from([1e-6, 1.0, 1e6]),
+                       st.floats(1e-6, 1e6))
+    records = draw(st.lists(
+        st.tuples(node, node, st.integers(0, T - 1), weight)
+        .filter(lambda r: r[0] != r[1]), min_size=1, max_size=3 * n))
+    # a duplicated record merges into its edge's weight
+    records += draw(st.lists(st.sampled_from(records), max_size=3))
+    return TemporalGraph.from_records([str(i) for i in range(n)], T, records)
+
+
+class TestDetectOnAdversarialGraphs:
+    @given(g=adversarial_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_sound_against_brute_force(self, g):
+        cfg = RunConfig(alpha=0.2)
+        state = detect(g, cfg)
+        for c in state.communities:
+            assert c.phi == pytest.approx(
+                conductance(g, c.nodes, c.interval, cfg.norm()), rel=1e-12)
+        opt = brute_force_best(g, cfg.norm())
+        assert state.phi_star >= opt.phi - 1e-9
+        verdict = list(state.verdicts)[state.verdicts.index(opt.interval)]
+        assert verdict.status not in PRUNED_STATUSES

@@ -94,7 +94,7 @@ class TestLoad:
     def test_label_roundtrip(self, tmp_path):
         g = load(write(tmp_path, "tgraph 3 1\nalpha beta 0 1.0\nbeta gamma 0 2.0\n"))
         assert set(g.labels) == {"alpha", "beta", "gamma"}
-        assert g.label_index["alpha"] == 0
+        assert g.labels[0] == "alpha"
 
     def test_too_many_labels_rejected(self, tmp_path):
         with pytest.raises(GraphFormatError, match="more node labels"):
@@ -130,6 +130,14 @@ class TestAggregate:
         ag = aggregate(g, Interval(1, 1))
         assert ag.adjacency[1, 2] == 2.5
         assert ag.adjacency[0, 1] == 0.0
+
+    def test_interval_without_edges_has_float_volumes(self):
+        # a weighted bincount of no entries is integer; block volumes of an
+        # idle block are added to float ones
+        g = TemporalGraph.from_records(["0", "1"], 2, [(0, 1, 0, 1.5)])
+        ag = aggregate(g, Interval(1, 1))
+        assert ag.volumes.dtype == np.float64
+        assert ag.volumes.tolist() == [0.0, 0.0]
 
     def test_volumes_match_triple_loop_oracle(self):
         rng = np.random.default_rng(7)
@@ -241,6 +249,14 @@ class TestConductance:
                                         (1, 2, 0, 1.0)])
         phi = conductance(g, {2}, Interval(1, 1), NormalizationConfig(0.0))
         assert math.isinf(phi)
+
+    def test_tiny_complement_volume_does_not_cancel(self):
+        # {a, b} on the path a -1e6- b -1e-6- c: the complement {c} has
+        # volume 1e-6 beside a total of 2e6, so total - vol(C) cancels
+        g = TemporalGraph.from_records(["a", "b", "c"], 1,
+                                       [(0, 1, 0, 1e6), (1, 2, 0, 1e-6)])
+        phi = conductance(g, {0, 1}, Interval(0, 0), NormalizationConfig(0.0))
+        assert phi == 1.0
 
     def test_empty_or_full_rejected(self):
         g = clique_graph(4)

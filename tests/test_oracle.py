@@ -35,6 +35,20 @@ class TestBruteForceBest:
                                        NormalizationConfig(0.0))
         assert best.phi == pytest.approx(1.0)
 
+    def test_heavy_and_light_weights_do_not_cancel(self):
+        # node 2 is isolated, so {0, 1, 3, 4, 5} leaves a complement of
+        # volume 0, which total - vol rounded to a tiny positive volume, and
+        # vol - 2 internal gave that set phi -1
+        records = [(0, 5, 0, 4e-6), (1, 3, 0, 449515.19937956514),
+                   (3, 4, 0, 1e-6), (3, 5, 0, 968561.5939315035),
+                   (4, 5, 0, 449515.19937956514)]
+        g = TemporalGraph.from_records([str(i) for i in range(6)], 1, records)
+        norm = NormalizationConfig(0.0)
+        best = brute_force_best(g, norm)
+        assert best.phi > 0
+        assert best.phi == pytest.approx(
+            conductance(g, best.nodes, best.interval, norm), rel=1e-12)
+
     def test_size_guard(self):
         g = clique_graph(17)
         with pytest.raises(InstanceTooLargeError):

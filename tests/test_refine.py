@@ -6,8 +6,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import (clique_graph, connected_random_instance, cycle_graph,
-                      random_instance)
+from conftest import (bucket_of, clique_graph, connected_random_instance,
+                      cycle_graph, random_instance)
 from tempocom.graph import (Interval, NormalizationConfig, TemporalGraph,
                             aggregate, conductance, eta)
 from tempocom.graph import dense_adjacency
@@ -18,6 +18,7 @@ from tempocom.refine import (NoConnectedPrefixError, WalkParams, fiedler_sweep,
                              seed_rankings, sweep)
 from tempocom.spectral import exact_lambda2
 from tempocom.synth import SynthConfig, generate
+from tempocom.tlsh import Bucket, CompositeSignature
 
 
 def agg(g):
@@ -384,7 +385,7 @@ class TestRefineBucket:
         rng = np.random.default_rng(79)
         g = connected_random_instance(rng, 10, 4)
         entries = [(0, 1), (2, 1), (0, 3), (5, 2)]
-        res = refine_bucket(g, entries, NormalizationConfig(0.2))
+        res = refine_bucket(g, bucket_of(entries), NormalizationConfig(0.2))
         c = res.community
         assert c.interval == Interval(1, 3)
         assert c.phi == conductance(g, c.nodes, c.interval,
@@ -398,36 +399,29 @@ class TestRefineBucket:
         best = brute_force_best(g, norm)
         entries = [(u, t) for u in sorted(truth.nodes)
                    for t in range(truth.interval.start, truth.interval.end + 1)]
-        res = refine_bucket(g, entries, norm)
+        res = refine_bucket(g, bucket_of(entries), norm)
         assert res.community.phi >= best.phi - 1e-12
 
     def test_singleton_bucket_valid(self):
         rng = np.random.default_rng(83)
         g = connected_random_instance(rng, 8, 3)
-        res = refine_bucket(g, [(2, 1)], NormalizationConfig(0.0))
+        res = refine_bucket(g, bucket_of([(2, 1)]), NormalizationConfig(0.0))
         assert math.isfinite(res.community.phi)
         assert 0 < len(res.community.nodes) < g.n
 
     def test_empty_bucket_rejected(self):
         g = clique_graph(3)
+        empty = Bucket(CompositeSignature(1, 0, 1, (0,)), [], (0, 0), ((), ()))
         with pytest.raises(ValueError):
-            refine_bucket(g, [], NormalizationConfig(0.0))
+            refine_bucket(g, empty, NormalizationConfig(0.0))
 
     def test_multiplicity_orders_bucket_nodes_first(self):
         g = clique_graph(6, T=4)
         entries = [(3, 0), (3, 1), (3, 2), (1, 0), (1, 1), (4, 2)]
-        res = refine_bucket(g, entries, NormalizationConfig(0.0))
+        res = refine_bucket(g, bucket_of(entries), NormalizationConfig(0.0))
         # node 3 has the highest multiplicity; the minimum-size prefix always
         # contains it
         assert 3 in res.community.nodes
-
-    def test_provided_aggregate_must_match_span(self):
-        rng = np.random.default_rng(89)
-        g = connected_random_instance(rng, 8, 5)
-        wrong = aggregate(g, Interval(0, 4))
-        res = refine_bucket(g, [(0, 1), (2, 2)], NormalizationConfig(0.0),
-                            ag=wrong)
-        assert res.community.interval == Interval(1, 2)
 
 
 # -- reference: the one-bucket-at-a-time refine and 1-D sweep -------------
@@ -440,7 +434,11 @@ def reference_conductance(g, nodes, iv, cfg):
     in_u, in_v = members[g.edge_u], members[g.edge_v]
     cut = float(s[in_u != in_v].sum())
     vol_c = float(s[in_u].sum() + s[in_v].sum())
-    denom = min(vol_c, 2.0 * float(s.sum()) - vol_c)
+    # a smaller complement volume summed over its nodes, not total - vol_c
+    node_vols = (np.bincount(g.edge_u, weights=s, minlength=g.n)
+                 + np.bincount(g.edge_v, weights=s, minlength=g.n))
+    denom = (vol_c if vol_c <= 2.0 * float(s.sum()) - vol_c
+             else float(node_vols[~members].sum()))
     if denom <= 0:
         return math.inf
     return eta(iv, cfg) * cut / denom
@@ -593,7 +591,7 @@ class TestRefineSeedingsMatchesPerBucketRefine:
             want = reference_refine(g, ag, seeds, mult,
                                     rwr_scores(ag, [seeds])[:, 0], cfg)
             try:
-                c = refine_bucket(g, entries, cfg).community
+                c = refine_bucket(g, bucket_of(entries), cfg).community
                 got = (c.nodes, c.interval, c.phi)
             except NoConnectedPrefixError:
                 got = None

@@ -1,6 +1,7 @@
 """Weighted minhash, temporal pivot hashing, composite signatures, buckets."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,9 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import clique_graph, cycle_graph, random_instance
 from tempocom.graph import Interval
-from tempocom.tlsh import (DEFAULT_BUCKET_CAP, Bucket, CompositeSignature,
-                           TemporalPivotHasher, WeightedMinHasher,
-                           _eligible_timestamps, _pack64, _split_oversized,
+from tempocom.tlsh import (Bucket, CompositeSignature, TemporalPivotHasher,
+                           WeightedMinHasher, _eligible_timestamps, _pack64,
                            composite_collision_count, hash_all,
                            minhash_collision_count, optimal_pivots,
                            pivot_collision_count, scale_ladder,
@@ -198,45 +198,23 @@ class TestCompositeCollisionLaw:
         assert abs(collide_any - p_or * sub) <= three_sigma(p_or, sub)
 
 
+def fill_factor(bk):
+    """Entries over distinct nodes times distinct timestamps."""
+    nodes = {u for u, _ in bk.entries}
+    times = {t for _, t in bk.entries}
+    return len(bk.entries) / (len(nodes) * len(times))
+
+
 class TestBuckets:
-    def sig(self, **kw):
-        base = dict(scale=1, band=0, time_part=1,
-                    graph_part=(1, 2))
-        base.update(kw)
-        return CompositeSignature(**base)
-
-    def test_fill_factor_perfect_consistency(self):
-        entries = [(u, t) for u in (1, 2, 3) for t in (0, 1, 2, 3)]
-        assert Bucket(self.sig(), entries).fill_factor == 1.0
-
-    def test_fill_factor_single_timestamp(self):
-        entries = [(u, 0) for u in range(6)]
-        assert Bucket(self.sig(), entries).fill_factor == 1.0
-
-    def test_fill_factor_partial(self):
-        entries = [(0, 0), (0, 1), (1, 0), (2, 2), (1, 1)]
-        assert Bucket(self.sig(), entries).fill_factor == pytest.approx(5 / 9)
-
     def test_sort_by_consistency_then_size(self):
         # hash_all ranks buckets by descending fill factor, then size, then
         # ascending key
         g = random_instance(np.random.default_rng(3), 10, 8, density=0.3)
         buckets = hash_all(g, [Interval(0, 7)], [1, 2, 4], r=1, b=3, seed=4)
-        keys = [(-bk.fill_factor, -len(bk.entries), bk.key.scale, bk.key.band,
+        keys = [(-fill_factor(bk), -len(bk.entries), bk.key.scale, bk.key.band,
                  bk.key.time_part, bk.key.graph_part) for bk in buckets]
         assert len({key[0] for key in keys}) > 1
         assert keys == sorted(keys)
-
-    def test_oversized_bucket_split_by_median_timestamp(self):
-        entries = [(u, t) for u in range(4) for t in range(8)]
-        parts = _split_oversized(Bucket(self.sig(), entries), cap=10)
-        assert all(len(p.entries) <= 10 for p in parts)
-        assert sum(len(p.entries) for p in parts) == len(entries)
-
-    def test_single_timestamp_bucket_not_splittable(self):
-        entries = [(u, 3) for u in range(20)]
-        parts = _split_oversized(Bucket(self.sig(), entries), cap=10)
-        assert len(parts) == 1
 
 
 class TestScaleLadder:
@@ -315,13 +293,13 @@ def window_eligible(T, intervals, s, span_cap=None):
                          for iv in intervals) for t in range(T)], dtype=bool)
 
 
-def dict_loop_hash_all(g, intervals, scales, r, b, seed, bucket_cap,
-                       min_entries, span_cap=math.inf,
-                       eligible=capped_eligible):
+def dict_loop_hash_all(g, intervals, scales, r, b, seed, min_entries,
+                       span_cap=math.inf, eligible=capped_eligible):
     """Reference bucket table: one dict of entry lists filled one (node,
     timestamp, band) at a time, then a stable sort of the buckets by
-    (-fill factor, -size, key). Hashing per timestamp is hash_all's; which
-    timestamps a scale hashes is ``eligible``'s."""
+    (-fill factor, -size, key), each with the span and seeding counted from
+    its entries. Hashing per timestamp is hash_all's; which timestamps a
+    scale hashes is ``eligible``'s."""
     intervals = list(intervals)
     tables = {}
     if not intervals:
@@ -371,14 +349,14 @@ def dict_loop_hash_all(g, intervals, scales, r, b, seed, bucket_cap,
     buckets = []
     for (s, j, tp, gp), entries in tables.items():
         if len(entries) >= min_entries:
-            buckets.extend(_split_oversized(
-                Bucket(CompositeSignature(s, j, tp, gp), entries), bucket_cap))
-    out = sorted(buckets, key=lambda bk: (-bk.fill_factor, -len(bk.entries),
-                                          (bk.key.scale, bk.key.band,
-                                           bk.key.time_part, bk.key.graph_part)))
-    for bk in out:
-        bk.entries.sort()
-    return out
+            entries.sort()
+            ts = [t for _, t in entries]
+            seeding = tuple(zip(*sorted(Counter(u for u, _ in entries).items())))
+            buckets.append(Bucket(CompositeSignature(s, j, tp, gp), entries,
+                                  (min(ts), max(ts)), seeding))
+    return sorted(buckets, key=lambda bk: (-fill_factor(bk), -len(bk.entries),
+                                           (bk.key.scale, bk.key.band,
+                                            bk.key.time_part, bk.key.graph_part)))
 
 
 def random_hash_input(rng):
@@ -392,8 +370,9 @@ def random_hash_input(rng):
 
 
 def assert_same_buckets(got, want):
-    assert [bk.key for bk in got] == [bk.key for bk in want]
-    assert [bk.entries for bk in got] == [bk.entries for bk in want]
+    for field in ("key", "entries", "span", "seeding"):
+        assert [getattr(bk, field) for bk in got] == \
+            [getattr(bk, field) for bk in want]
 
 
 class TestHashAllMatchesDictLoop:
@@ -404,31 +383,17 @@ class TestHashAllMatchesDictLoop:
         (1, 3, [4, 1, 2], 2, 5),
         (4, 2, [1, 2, 4, 8], 1, 7),
     ])
-    @pytest.mark.parametrize("bucket_cap", [4096, 3])
-    def test_random_instances(self, r, b, scales, min_entries, seed,
-                              bucket_cap):
-        rng = np.random.default_rng([seed, bucket_cap])
+    # every case draws its instances from the rng stream [seed, 4096]
+    @pytest.mark.parametrize("stream", [4096])
+    def test_random_instances(self, r, b, scales, min_entries, seed, stream):
+        rng = np.random.default_rng([seed, stream])
         for trial in range(4):
             g, intervals = random_hash_input(rng)
             args = (g, intervals, scales, r, b, seed)
             for span_cap in (math.inf, 1.0, 2.0):
                 assert_same_buckets(
-                    hash_all(*args, bucket_cap=bucket_cap,
-                             min_entries=min_entries, span_cap=span_cap),
-                    dict_loop_hash_all(*args, bucket_cap, min_entries, span_cap))
-
-    def test_split_parts_tied_on_fill_and_size(self):
-        # a static cycle: every node hashes alike at every timestamp, so a
-        # bucket is a full node-by-time block and splits into halves equal
-        # in fill factor and size
-        g = cycle_graph(6, T=8)
-        args = (g, [Interval(0, 7)], [1, 4], 1, 2, 3)
-        want = dict_loop_hash_all(*args, bucket_cap=4, min_entries=2)
-        tied = [(x, y) for x, y in zip(want, want[1:])
-                if x.key == y.key and len(x.entries) == len(y.entries)
-                and x.fill_factor == y.fill_factor]
-        assert tied
-        assert_same_buckets(hash_all(*args, bucket_cap=4, min_entries=2), want)
+                    hash_all(*args, min_entries=min_entries, span_cap=span_cap),
+                    dict_loop_hash_all(*args, min_entries, span_cap))
 
 
 class TestSpanCapKeepsRefinableBuckets:
@@ -444,8 +409,7 @@ class TestSpanCapKeepsRefinableBuckets:
         g, intervals = random_hash_input(rng)
         args = (g, intervals, scale_ladder(g.T), 2, 2, seed % 97)
         got = hash_all(*args, min_entries=min_entries, span_cap=span_cap)
-        want = dict_loop_hash_all(*args, DEFAULT_BUCKET_CAP, min_entries,
-                                  eligible=window_eligible)
+        want = dict_loop_hash_all(*args, min_entries, eligible=window_eligible)
         got_by_key = {bk.key: bk.entries for bk in got}
         want_by_key = {bk.key: bk.entries for bk in want}
         assert len(got_by_key) == len(got) and len(want_by_key) == len(want)
