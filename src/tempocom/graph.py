@@ -90,6 +90,14 @@ class TemporalGraph:
             raise ValueError("edge endpoint out of range")
         if np.any(weights < 0):
             raise ValueError("negative weights are not allowed")
+        # load's rule, checked there per line: every merged weight,
+        # aggregate and volume is at most twice the total, so a finite
+        # doubled total keeps the solvers finite
+        with np.errstate(over="ignore"):
+            total = float(weights.sum())
+        if not math.isfinite(2.0 * total):
+            raise GraphFormatError(
+                "weights take the total volume past the float range")
 
         self.labels = tuple(str(x) for x in labels)
         self.n = n
@@ -314,8 +322,7 @@ def load(path) -> TemporalGraph:
                         f"line {lineno}: timestamp {t} outside [0, {timeline - 1}]")
                 if not (w > 0):
                     raise GraphFormatError(f"line {lineno}: non-positive weight {w}")
-                # every merged weight, aggregate and volume is at most twice the
-                # total, so a finite doubled total keeps the solvers finite
+                # TemporalGraph's rule on the doubled total, here per line
                 total += w
                 if math.isinf(2.0 * total):
                     raise GraphFormatError(

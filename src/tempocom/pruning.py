@@ -6,6 +6,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -58,7 +59,11 @@ class Verdicts:
 
     def index(self, iv: Interval) -> int:
         """Position of iv in the table."""
-        return iv.start * self.T - iv.start * (iv.start - 1) // 2 + iv.span
+        return self.position(iv.start, iv.end)
+
+    def position(self, start, end):
+        """Position of [start, end] in the table; takes arrays too."""
+        return start * self.T - start * (start - 1) // 2 + end - start
 
     def intervals(self, at: np.ndarray) -> list[Interval]:
         starts, ends = np.triu_indices(self.T)
@@ -80,67 +85,126 @@ def _levels(T: int, base: int) -> list[int]:
     return [base ** i for i in range(top + 1)]
 
 
+# bounds are assembled for at most this many (interval, node) cells at a time
+CHUNK_CELLS = 1 << 18
+
+
 class BoundsTable:
-    """Precomputed lambda2 at exponentially scaled aligned blocks, plus node
-    volumes of any interval as the sum of its blocks' volumes."""
+    """Precomputed lambda2 at exponentially scaled aligned blocks, and the
+    canonical decomposition of any interval into them.
+
+    The aligned blocks are the rows of one table (at most 2T, with a zero
+    padding row last), filled with each block's node volumes and lambda2 on
+    the first bound asked for.
+    """
 
     def __init__(self, g: TemporalGraph, scale_base: int,
                  entries: dict[Interval, Optional[EigResult]]):
         self.g = g
-        self.T = g.T
+        self.T = T = g.T
         self.entries = entries
-        self._lengths_desc = sorted(_levels(g.T, scale_base), reverse=True)
-        self._decomp_cache: dict[Interval, tuple[Interval, ...]] = {}
-        self._block_vol_cache: dict[Interval, np.ndarray] = {}
+        lengths = _levels(T, scale_base)
+        rows: dict[Interval, int] = {}
+        # the row of the level-i block at an aligned position, and whether
+        # the decomposition may take it: a missing or unusable entry splits
+        # finer, and level-0 blocks always fit
+        self._row_at = np.zeros((len(lengths), T), dtype=np.int64)
+        self._usable = np.zeros((len(lengths), T), dtype=bool)
+        # the highest level aligned at each position, and the highest level
+        # no longer than each length 0..T
+        self._aligned = np.zeros(T, dtype=np.int64)
+        for lev, length in enumerate(lengths):
+            for pos in range(0, T, length):
+                block = Interval(pos, min(pos + length, T) - 1)
+                self._row_at[lev, pos] = rows.setdefault(block, len(rows))
+                self._usable[lev, pos] = length == 1 or \
+                    entries.get(block) is not None
+            self._aligned[::length] = lev
+        self._fits = np.searchsorted(lengths, np.arange(T + 1),
+                                     side="right") - 1
+        self.blocks = list(rows)
+        self._block_ends = np.array([b.end for b in self.blocks] + [-1])
 
-    def block_volumes(self, block: Interval) -> np.ndarray:
-        """Node volumes of a decomposition block, cached (at most 2T
-        distinct blocks)."""
-        vols = self._block_vol_cache.get(block)
-        if vols is None:
-            vols = self._block_vol_cache[block] = aggregate(self.g, block).volumes
-        return vols
+    @cached_property
+    def _block_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """Node volumes (rows, n) and lambda2 (rows,) of every block, the
+        padding row 0; lambda2 is 0 for unusable entries, a vacuous but sound
+        contribution."""
+        vols = np.zeros((len(self.blocks) + 1, self.g.n))
+        lams = np.zeros(len(self.blocks) + 1)
+        for i, block in enumerate(self.blocks):
+            vols[i] = aggregate(self.g, block).volumes
+            res = self.entries.get(block)
+            lams[i] = 0.0 if res is None else res.lambda2
+        return vols, lams
 
-    def node_volumes(self, iv: Interval) -> np.ndarray:
-        """Node volumes over iv, summed over the blocks of its decomposition:
-        nonnegative terms, so no volume cancels and none is below a block's."""
-        blocks = self.decompose(iv)
-        vol = self.block_volumes(blocks[0]).copy()
-        for block in blocks[1:]:
-            vol += self.block_volumes(block)
-        return vol
-
-    def block_lambda2(self, block: Interval) -> float:
-        """0 for unusable entries: a vacuous but sound contribution."""
-        res = self.entries.get(block)
-        return 0.0 if res is None else res.lambda2
+    def decomposition(self, starts: np.ndarray, ends: np.ndarray,
+                      ) -> list[np.ndarray]:
+        """Canonical decomposition of each [starts[i], ends[i]]: greedily
+        take the largest aligned usable block fitting in the remainder. One
+        array of block rows per block position, the padding row where an
+        interval has fewer blocks; <= 2(l-1)*ceil(log_l T) positions."""
+        top = len(self._row_at) - 1
+        pos = np.array(starts, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
+        # any level fits at the timeline's end, where blocks are truncated
+        cap = np.where(ends == self.T - 1, top, -1)
+        out = []
+        while True:
+            live = pos <= ends
+            if not live.any():
+                return out
+            pos = np.where(live, pos, 0)
+            lev = np.minimum(self._aligned[pos], np.maximum(
+                cap, self._fits[np.maximum(ends - pos + 1, 0)]))
+            # a lower level stays aligned and fits
+            bad = ~self._usable[lev, pos]
+            while bad.any():
+                lev[bad] -= 1
+                bad = ~self._usable[lev, pos]
+            rows = np.where(live, self._row_at[lev, pos], len(self.blocks))
+            out.append(rows)
+            pos = np.where(live, self._block_ends[rows] + 1, self.T)
 
     def decompose(self, iv: Interval) -> tuple[Interval, ...]:
-        """Canonical decomposition: greedily take the largest aligned usable
-        block fitting in the remainder. Level-0 blocks always fit, so this
-        terminates with <= 2(l-1)*ceil(log_l T) blocks."""
-        cached = self._decomp_cache.get(iv)
-        if cached is not None:
-            return cached
-        blocks: list[Interval] = []
-        pos = iv.start
-        while pos <= iv.end:
-            for length in self._lengths_desc:
-                if pos % length:
-                    continue
-                end = min(pos + length, self.T) - 1
-                if end > iv.end:
-                    continue
-                # Interval hashes as its (start, end) tuple; a missing or
-                # unusable entry splits finer
-                if length > 1 and self.entries.get((pos, end)) is None:
-                    continue
-                break
-            blocks.append(Interval(pos, end))
-            pos = end + 1
-        out = tuple(blocks)
-        self._decomp_cache[iv] = out
-        return out
+        """The canonical decomposition of one interval, as its blocks."""
+        return tuple(self.blocks[r[0]]
+                     for r in self.decomposition([iv.start], [iv.end]))
+
+    def lambda2_sums(self, starts, block_ends, vol_ends=None) -> np.ndarray:
+        """For each i, the sum over the blocks of [starts[i], block_ends[i]]
+        of the block's lambda2 times its min node-volume ratio against
+        [starts[i], vol_ends[i]] (default block_ends[i]), over the nodes of
+        positive volume there, in decomposition order; 0 with no such node.
+        Volumes add up in decomposition order: nonnegative terms, so no
+        volume cancels and none is below a block's. Each interval does the
+        float operations of a loop over its own blocks, in chunks of at most
+        CHUNK_CELLS (interval, node) cells."""
+        step = max(1, CHUNK_CELLS // max(self.g.n, 1))
+        return np.concatenate([np.zeros(0)] + [
+            self._lambda2_sums(starts[i:i + step], block_ends[i:i + step],
+                               None if vol_ends is None
+                               else vol_ends[i:i + step])
+            for i in range(0, len(starts), step)])
+
+    def _lambda2_sums(self, starts, block_ends, vol_ends) -> np.ndarray:
+        vols, lams = self._block_values
+        blocks = self.decomposition(starts, block_ends)
+        parts = blocks if vol_ends is None else \
+            self.decomposition(starts, vol_ends)
+        vol = vols[parts[0]]
+        for rows in parts[1:]:
+            vol += vols[rows]
+        active = vol > 0
+        total = np.zeros(len(starts))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / vol
+            for rows in blocks:
+                lam = lams[rows]
+                ratio = np.where(active, vols[rows] * inv, np.inf).min(axis=1)
+                total += np.where(lam <= 0.0, 0.0, ratio * lam)
+        total[~active.any(axis=1)] = 0.0
+        return total
 
 
 def precompute(g: TemporalGraph, l: int = 2, threads: int = 1) -> BoundsTable:
@@ -174,23 +238,16 @@ def precompute(g: TemporalGraph, l: int = 2, threads: int = 1) -> BoundsTable:
     return BoundsTable(g, l, dict(zip(blocks, results)))
 
 
-def _block_sum(bt: BoundsTable, blocks: Interval, volumes: Interval) -> float:
-    """Sum over the decomposition of ``blocks`` of each block's lambda2
-    times its min node-volume ratio against ``volumes``, over the nodes of
-    positive volume in ``volumes``."""
-    vol = bt.node_volumes(volumes)
-    active = vol > 0
-    if not active.any():
-        return 0.0
-    inv = 1.0 / vol[active]
-    total = 0.0
-    for block in bt.decompose(blocks):
-        lam = bt.block_lambda2(block)
-        if lam <= 0.0:
-            continue
-        ratios = bt.block_volumes(block)[active] * inv
-        total += float(ratios.min()) * lam
-    return total
+def _etas(T: int, cfg: NormalizationConfig) -> np.ndarray:
+    """eta of an interval, indexed by its span."""
+    return np.array([eta(Interval(0, span), cfg) for span in range(T)])
+
+
+def composite_bounds(bt: BoundsTable, starts: np.ndarray, ends: np.ndarray,
+                     cfg: NormalizationConfig) -> np.ndarray:
+    """eta times the composite lambda2 bound of each [starts[i], ends[i]]."""
+    starts, ends = np.asarray(starts), np.asarray(ends)
+    return _etas(bt.T, cfg)[ends - starts] * bt.lambda2_sums(starts, ends)
 
 
 def composite_lambda2_bound(bt: BoundsTable, iv: Interval) -> float:
@@ -201,13 +258,13 @@ def composite_lambda2_bound(bt: BoundsTable, iv: Interval) -> float:
     Nodes with zero interval volume also have zero block volume, so excluding
     them from the min is exact, not just conservative.
     """
-    return _block_sum(bt, iv, iv)
+    return float(bt.lambda2_sums([iv.start], [iv.end])[0])
 
 
 def composite_bound(bt: BoundsTable, iv: Interval,
                     cfg: NormalizationConfig) -> float:
     """eta(iv) times the composite lambda2 bound."""
-    return eta(iv, cfg) * composite_lambda2_bound(bt, iv)
+    return float(composite_bounds(bt, [iv.start], [iv.end], cfg)[0])
 
 
 def build_groups(T: int, beta: float) -> list[PruningGroup]:
@@ -231,17 +288,25 @@ def build_groups(T: int, beta: float) -> list[PruningGroup]:
     return groups
 
 
+def group_bounds(bt: BoundsTable, starts: np.ndarray, prefix_ends: np.ndarray,
+                 group_ends: np.ndarray,
+                 cfg: NormalizationConfig) -> np.ndarray:
+    """Bound shared by every member [t, t*], t* in [prefix_end, group_end],
+    of each group: prefix blocks in the numerator, whole-group volumes in the
+    denominator, and the whole-group eta."""
+    starts, group_ends = np.asarray(starts), np.asarray(group_ends)
+    return _etas(bt.T, cfg)[group_ends - starts] * bt.lambda2_sums(
+        starts, np.asarray(prefix_ends), group_ends)
+
+
 def group_bound(bt: BoundsTable, grp: PruningGroup,
                 cfg: NormalizationConfig) -> float:
-    """Bound shared by every member [t, t*], t* in [prefix_end, group_end]:
-    prefix blocks in the numerator, whole-group volumes in the denominator,
-    and the whole-group eta."""
-    whole = Interval(grp.start, grp.group_end)
-    prefix = Interval(grp.start, grp.prefix_end)
-    return eta(whole, cfg) * _block_sum(bt, prefix, whole)
+    """group_bounds of one group."""
+    return float(group_bounds(bt, [grp.start], [grp.prefix_end],
+                              [grp.group_end], cfg)[0])
 
 
-def _half(x: float) -> float:
+def _half(x):
     # all pruning comparisons fold in the Cheeger 1/2 so the bounds stay
     # sound against actual conductance values
     return x / 2.0
@@ -257,18 +322,23 @@ def prune_all(bt: BoundsTable, groups: list[PruningGroup], phi_star: float,
         raise ValueError("phi_star must be a finite positive incumbent conductance")
     out = Verdicts(bt.T)
     grouped = np.zeros(len(out), dtype=bool)
-    for grp in groups if use_groups else ():
-        gb = _half(group_bound(bt, grp, cfg))
-        if gb > phi_star:
-            # a group's members [start, end] sit side by side in the table
-            lo = out.index(Interval(grp.start, grp.prefix_end))
-            hi = lo + grp.group_end - grp.prefix_end + 1
-            out.bound[lo:hi], grouped[lo:hi] = gb, True
+    if use_groups and groups:
+        start, prefix_end, group_end = np.array(
+            [(grp.start, grp.prefix_end, grp.group_end) for grp in groups]).T
+        gb = _half(group_bounds(bt, start, prefix_end, group_end, cfg))
+        hit = np.flatnonzero(gb > phi_star)
+        # a group's members [start, end] sit side by side in the table
+        size = group_end[hit] - prefix_end[hit] + 1
+        first = out.position(start[hit], prefix_end[hit])
+        at = np.repeat(first - np.cumsum(size) + size, size) + \
+            np.arange(size.sum())
+        out.bound[at], grouped[at] = np.repeat(gb[hit], size), True
     # single timestamps, which no group holds, and members of groups that
     # do not prune
     rest = np.flatnonzero(~grouped)
-    out.bound[rest] = [_half(composite_bound(bt, iv, cfg))
-                       for iv in out.intervals(rest)]
+    starts, ends = np.triu_indices(bt.T)
+    out.bound[rest] = _half(composite_bounds(bt, starts[rest], ends[rest],
+                                             cfg))
     out.code[out.bound > phi_star] = COMPOSITE_PRUNED
     out.code[grouped] = GROUP_PRUNED
     return out

@@ -183,7 +183,12 @@ def _connected_prefixes(ru: np.ndarray, rv: np.ndarray,
     of prefix i (Kruskal), and, having no cycle, connects its i + 1 nodes
     iff it has i edges.
     """
-    joins = sp.csr_matrix((rv + 1.0, (ru, rv)), shape=(steps, steps))
+    # the CSR arrays directly: the edges are unique, so the COO -> CSR
+    # conversion's duplicate sum has nothing to do
+    at = np.argsort(ru, kind="stable")
+    indptr = np.zeros(steps + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ru, minlength=steps), out=indptr[1:])
+    joins = sp.csr_matrix((rv[at] + 1.0, rv[at], indptr), shape=(steps, steps))
     tree = minimum_spanning_tree(joins)
     within = np.cumsum(np.bincount(tree.data.astype(np.int64) - 1,
                                    minlength=steps))

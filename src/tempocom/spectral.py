@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.linalg as sla
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -127,9 +128,26 @@ def _embed(n: int, support: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+# the LAPACK routine scipy.linalg.eigh(..., subset_by_index=[1, 1]) calls,
+# called directly: eigh checks its argument and queries the workspace on every
+# call, which costs about as much as solving a 30-node Laplacian
+_syevr, _syevr_lwork = get_lapack_funcs(("syevr", "syevr_lwork"),
+                                        dtype=np.float64)
+
+
+@lru_cache(maxsize=None)
+def _syevr_work(n: int) -> tuple[int, int]:
+    """syevr's (lwork, liwork) for an n x n matrix, rounded as eigh does."""
+    work, iwork, info = _syevr_lwork(n, lower=True)
+    if info != 0:
+        raise RuntimeError(f"syevr workspace query failed: info {info}")
+    return int(work), int(iwork)
+
+
 def exact_lambda2(adj: np.ndarray) -> EigResult:
     """lambda2 and Fiedler vector of a dense symmetric adjacency by one LAPACK
-    solve, restricted to the positive-volume support.
+    solve, restricted to the positive-volume support: the solve of
+    scipy.linalg.eigh(lap, subset_by_index=[1, 1]), bit for bit.
 
     Zero-volume nodes change neither cut nor volume of any set, so the
     support's Cheeger bound holds for every node set. A disconnected support
@@ -145,10 +163,16 @@ def exact_lambda2(adj: np.ndarray) -> EigResult:
         adj = adj[np.ix_(support, support)]
     dinv = 1.0 / np.sqrt(vols[support])
     lap = np.eye(ns) - dinv[:, None] * adj * dinv[None, :]
-    try:
-        vals, vecs = sla.eigh(lap, subset_by_index=[1, 1])
-    except np.linalg.LinAlgError as err:
-        raise EigenSolveError(f"LAPACK eigensolve failed: {err}") from err
+    if not np.isfinite(lap).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lwork, liwork = _syevr_work(ns)
+    vals, vecs, _, _, info = _syevr(lap, compute_v=1, range="I", il=2, iu=2,
+                                    lower=1, overwrite_a=0, lwork=lwork,
+                                    liwork=liwork)
+    if info > 0:
+        raise EigenSolveError(f"LAPACK eigensolve failed: syevr info {info}")
+    if info < 0:
+        raise RuntimeError(f"syevr: illegal value in argument {-info}")
     theta, x = float(vals[0]), vecs[:, 0]
     res = float(np.linalg.norm(lap @ x - theta * x))
     return EigResult(lambda2=max(theta, 0.0), residual=res, iterations=1,

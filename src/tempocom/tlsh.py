@@ -68,10 +68,10 @@ class WeightedMinHasher:
         starts[i] with seg_len[i] elements; ties resolve to the first index
         within the segment. Returns (keys, levels) of shape (n_segments, r).
         """
-        g = self.gammas[:, keys]
-        b = self.betas[:, keys]
+        g = self.gammas.take(keys, axis=1)
+        b = self.betas.take(keys, axis=1)
         t = np.floor(np.log(weights)[None, :] / g + b)
-        ln_a = self.ln_cs[:, keys] - g * (t - b) - g
+        ln_a = self.ln_cs.take(keys, axis=1) - g * (t - b) - g
         mins = np.minimum.reduceat(ln_a, starts, axis=1)
         expanded = np.repeat(mins, seg_len, axis=1)
         n = ln_a.shape[1]

@@ -319,6 +319,23 @@ class TestTemporalGraphInvariants:
             TemporalGraph(["0", "1"], 1, np.array([0]), np.array([1]),
                           np.array([[-1.0]]))
 
+    def test_non_finite_weights_rejected(self):
+        # rejected where the graph is built, not deep inside an eigensolver
+        with pytest.raises(GraphFormatError, match="float range"):
+            TemporalGraph.from_records(["a", "b", "c"], 2,
+                                       [(0, 1, 0, 1.0), (1, 2, 1, math.inf)])
+        with pytest.raises(GraphFormatError, match="float range"):
+            TemporalGraph(["0", "1"], 1, np.array([0]), np.array([1]),
+                          np.array([[math.nan]]))
+
+    def test_overflowing_total_rejected(self):
+        # each weight and each edge is finite; the doubled total is not
+        triangle = [(0, 1, 0, 1e308), (1, 2, 0, 1e308), (0, 2, 0, 1e308)]
+        with pytest.raises(GraphFormatError, match="float range"):
+            TemporalGraph.from_records(["a", "b", "c"], 1, triangle)
+        g = TemporalGraph.from_records(["a", "b", "c"], 1, [(0, 1, 0, 6e307)])
+        assert np.isfinite(aggregate(g, g.full_interval()).volumes).all()
+
     def test_immutable_arrays(self):
         g = clique_graph(3)
         with pytest.raises(ValueError):

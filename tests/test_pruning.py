@@ -11,7 +11,7 @@ import tempocom.pruning as pruning
 import tempocom.spectral as spectral
 from conftest import clique_graph, connected_random_instance, cycle_graph
 from tempocom.graph import (Interval, NormalizationConfig, TemporalGraph,
-                            aggregate, load)
+                            aggregate, eta, load)
 from tempocom.oracle import brute_force_min_phi
 from tempocom.pruning import (PRUNED_STATUSES, STATUS_COMPOSITE_PRUNED,
                               STATUS_EXACT_PRUNED, STATUS_GROUP_PRUNED,
@@ -102,14 +102,14 @@ class TestDecompose:
             assert b.start % b.length == 0 or b.length == 1
 
 
-def interval_building_decompose(bt, iv):
+def interval_building_decompose(bt, iv, base=2):
     """Reference: the decomposition built with one Interval per block length
     tried, before the fit and usability checks."""
     blocks = []
     pos = iv.start
     while pos <= iv.end:
         chosen = None
-        for length in bt._lengths_desc:
+        for length in sorted(pruning._levels(bt.T, base), reverse=True):
             if pos % length != 0:
                 continue
             block = Interval(pos, min(pos + length, bt.T) - 1)
@@ -152,9 +152,103 @@ class TestDecomposeMatchesIntervalBuilding:
                 lo = int(rng.integers(0, T))
                 iv = Interval(lo, int(rng.integers(lo, T)))
                 got = bt.decompose(iv)
-                want = interval_building_decompose(ref, iv)
+                want = interval_building_decompose(ref, iv, base)
                 assert got == want
                 assert all(type(b) is Interval for b in got)
+
+
+def block_sum(bt, base, blocks, volumes):
+    """Reference: the per-interval bound loop the array path replaced. The
+    sum over the decomposition of ``blocks`` of each block's lambda2 times
+    its min node-volume ratio against ``volumes``, over the nodes of
+    positive volume in ``volumes``."""
+    def block_volumes(block):
+        return aggregate(bt.g, block).volumes
+
+    def block_lambda2(block):
+        res = bt.entries.get(block)
+        return 0.0 if res is None else res.lambda2
+
+    parts = interval_building_decompose(bt, volumes, base)
+    vol = block_volumes(parts[0]).copy()
+    for block in parts[1:]:
+        vol += block_volumes(block)
+    active = vol > 0
+    if not active.any():
+        return 0.0
+    inv = 1.0 / vol[active]
+    total = 0.0
+    for block in interval_building_decompose(bt, blocks, base):
+        lam = block_lambda2(block)
+        if lam <= 0.0:
+            continue
+        ratios = block_volumes(block)[active] * inv
+        total += float(ratios.min()) * lam
+    return total
+
+
+class TestArrayBoundsMatchPerIntervalLoop:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_byte_equal(self, seed, monkeypatch):
+        rng = np.random.default_rng([101, seed])
+        n = int(rng.integers(3, 12))
+        # chunks of 1 to 7 intervals, so chunk boundaries fall everywhere
+        monkeypatch.setattr(pruning, "CHUNK_CELLS", n * int(rng.integers(1, 8)))
+        base = int(rng.choice([2, 3]))
+        T = int(rng.choice([5, 7, 12, 19, 26, 33]))  # no power of 2 or 3
+        cfg = NormalizationConfig(float(rng.choice([0.0, 0.2, 0.7])))
+        # sparse snapshots leave nodes idle in some blocks and intervals
+        records = [(u, v, t, float(rng.uniform(0.5, 3.0)))
+                   for t in range(T) for u in range(n) for v in range(u + 1, n)
+                   if rng.random() < 0.12]
+        g = TemporalGraph.from_records([str(i) for i in range(n)], T,
+                                       records or [(0, 1, 0, 1.0)])
+        entries = precompute(g, base).entries
+        # failed block solves leave unusable entries
+        entries = {iv: None if rng.random() < 0.25 else res
+                   for iv, res in entries.items()}
+        bt = pruning.BoundsTable(g, base, entries)
+        starts, ends = np.triu_indices(T)
+        want = [eta(Interval(s, e), cfg)
+                * block_sum(bt, base, Interval(s, e), Interval(s, e))
+                for s, e in zip(starts.tolist(), ends.tolist())]
+        got = pruning.composite_bounds(bt, starts, ends, cfg)
+        assert got.tobytes() == np.array(want).tobytes()
+        assert any(w == 0.0 for w in want) and any(w > 0.0 for w in want)
+
+        groups = build_groups(T, float(rng.choice([0.3, 0.5, 0.7])))
+        want = [eta(Interval(grp.start, grp.group_end), cfg)
+                * block_sum(bt, base, Interval(grp.start, grp.prefix_end),
+                            Interval(grp.start, grp.group_end))
+                for grp in groups]
+        got = pruning.group_bounds(bt, *np.array(
+            [(grp.start, grp.prefix_end, grp.group_end) for grp in groups]).T,
+            cfg)
+        assert got.tobytes() == np.array(want).tobytes()
+        for grp, w in zip(groups, want):
+            assert group_bound(bt, grp, cfg) == w
+
+        for phi_star in (2.0, 0.3, 0.05):
+            for use_groups in (True, False):
+                got = prune_all(bt, groups, phi_star, cfg, use_groups)
+                assert typed(got) == typed(object_list_prune_all(
+                    bt, groups, phi_star, cfg, use_groups,
+                    bounds=(reference_composite(base),
+                            reference_group(base))))
+
+
+def reference_composite(base):
+    def bound(bt, iv, cfg):
+        return eta(iv, cfg) * block_sum(bt, base, iv, iv)
+    return bound
+
+
+def reference_group(base):
+    def bound(bt, grp, cfg):
+        return eta(Interval(grp.start, grp.group_end), cfg) * block_sum(
+            bt, base, Interval(grp.start, grp.prefix_end),
+            Interval(grp.start, grp.group_end))
+    return bound
 
 
 class TestCompositeBound:
@@ -500,9 +594,11 @@ class TestExactTier:
                 assert v.bound_value <= final
 
 
-def object_list_prune_all(bt, groups, phi_star, cfg, use_groups=True):
+def object_list_prune_all(bt, groups, phi_star, cfg, use_groups=True,
+                          bounds=(composite_bound, group_bound)):
     """prune_all as one PruneVerdict per interval, built in a Python loop:
     the reference the verdict table must match."""
+    composite_bound, group_bound = bounds
     if not (phi_star > 0) or math.isinf(phi_star):
         raise ValueError("phi_star must be a finite positive incumbent conductance")
     T = bt.T

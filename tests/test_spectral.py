@@ -132,6 +132,57 @@ class TestExactLambda2:
                            atol=1e-6)
 
 
+def eigh_lambda2(adj):
+    """exact_lambda2's solve through scipy.linalg.eigh: (lambda2, residual,
+    Fiedler vector)."""
+    import scipy.linalg as sla
+    vols = adj.sum(axis=1)
+    support = np.flatnonzero(vols > 0)
+    sub = adj[np.ix_(support, support)]
+    dinv = 1.0 / np.sqrt(vols[support])
+    lap = np.eye(len(support)) - dinv[:, None] * sub * dinv[None, :]
+    vals, vecs = sla.eigh(lap, subset_by_index=[1, 1])
+    theta, x = float(vals[0]), vecs[:, 0]
+    fiedler = np.zeros(len(vols))
+    fiedler[support] = x * dinv
+    return (max(theta, 0.0), float(np.linalg.norm(lap @ x - theta * x)),
+            fiedler)
+
+
+class TestDirectSyevr:
+    def test_bitwise_equal_to_eigh(self):
+        rng = np.random.default_rng(97)
+        for n in range(2, 65):
+            adj = np.triu(rng.uniform(0.1, 2.0, (n, n))
+                          * (rng.random((n, n)) < 0.5), 1)
+            adj[np.arange(n - 1), np.arange(1, n)] = 1.0  # a path: connected
+            adj += adj.T
+            res = exact_lambda2(adj)
+            lam, resid, fiedler = eigh_lambda2(adj)
+            assert (res.lambda2, res.residual) == (lam, resid), n
+            assert res.fiedler.tobytes() == fiedler.tobytes(), n
+
+    def test_bitwise_equal_on_a_disconnected_support(self):
+        # two triangles and an idle node
+        adj = np.zeros((7, 7))
+        for base in (0, 3):
+            for u, v in ((0, 1), (1, 2), (0, 2)):
+                adj[base + u, base + v] = adj[base + v, base + u] = 1.5
+        res = exact_lambda2(adj)
+        lam, resid, fiedler = eigh_lambda2(adj)
+        assert (res.lambda2, res.residual) == (lam, resid)
+        assert res.fiedler.tobytes() == fiedler.tobytes()
+        assert res.lambda2 < 1e-12
+
+    def test_solver_failure_raises_eigen_solve_error(self, monkeypatch):
+        def failing(a, **kwargs):
+            n = len(a)
+            return np.zeros(n), np.zeros((n, 1)), 0, np.zeros(0, np.int32), 3
+        monkeypatch.setattr(spectral, "_syevr", failing)
+        with pytest.raises(spectral.EigenSolveError, match="info 3"):
+            exact_lambda2(np.ones((4, 4)) - np.eye(4))
+
+
 class TestIntervalLambda2:
     @pytest.fixture(params=["dense", "lanczos"])
     def branch(self, request, monkeypatch):
