@@ -4,12 +4,15 @@ them identical.
 
 Generates the benchmark workloads' instances for the given seeds into a
 temporary directory with perfbench/generate.py, runs ``detect`` on each with
-its workload's RunConfig, and prints ``<workload> <seed> <i> <sha256>``.
-With --criterion-6 it also runs criterion 6's 20 seeds (synth.generate and
-criterion 6's RunConfig), printed as ``criterion-6 <seed> 0 <sha256>``. The
-hash covers the repr of phi*, each community (sorted nodes, interval, repr
-of phi), the verdicts' status codes and bound bytes, and every bucket_log
-entry. It only reads perfbench/.
+its workload's RunConfig, and prints ``<workload> <seed> <i> <sha256>
+<sha256>``. With --criterion-6 it also runs criterion 6's 20 seeds
+(synth.generate and criterion 6's RunConfig), printed as ``criterion-6
+<seed> 0 <sha256> <sha256>``. The first hash covers the repr of phi*, each
+community (sorted nodes, interval, repr of phi), the verdicts' status codes
+and bound bytes, and every bucket_log entry. The second covers only the
+answer: the repr of phi*, the top community, and which intervals are pruned
+and which are open. A change meant to move ranks 2..k or verdict labels
+shows with it that the answer did not move. It only reads perfbench/.
 
 Run it from the root of both trees, the parent's with this file copied in,
 and compare:
@@ -33,12 +36,15 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from tempocom.driver import RunConfig, detect  # noqa: E402
 from tempocom.graph import NormalizationConfig, load  # noqa: E402
+from tempocom.pruning import PRUNED_STATUSES, STATUSES  # noqa: E402
 from tempocom.synth import SynthConfig, generate  # noqa: E402
 from workloads import ALPHA, WORKLOADS  # noqa: E402
 
@@ -58,6 +64,21 @@ def digest(state) -> str:
         h.update(repr((tuple(d.interval), d.bound_half, d.phi_star_before,
                        d.refined)).encode())
     return h.hexdigest()
+
+
+def answer_digest(state) -> str:
+    h = hashlib.sha256()
+    h.update(repr(state.phi_star).encode())
+    for c in state.communities[:1]:
+        h.update(repr((sorted(c.nodes), tuple(c.interval),
+                       c.phi)).encode())
+    pruned = [STATUSES.index(s) for s in PRUNED_STATUSES]
+    h.update(np.isin(state.verdicts.code, pruned).tobytes())
+    return h.hexdigest()
+
+
+def digests(state) -> str:
+    return f"{digest(state)} {answer_digest(state)}"
 
 
 def main(argv=None) -> int:
@@ -80,13 +101,14 @@ def main(argv=None) -> int:
                                 name, str(seed), str(run_dir)], check=True)
                 for i in range(wl.instances):
                     g = load(run_dir / f"instance{i}.tgraph")
-                    print(name, seed, i, digest(detect(g, cfg)), flush=True)
+                    print(name, seed, i, digests(detect(g, cfg)), flush=True)
     if args.criterion_6:
         cfg = RunConfig(alpha=ALPHA, seed=7, rows=2, min_entries=3)
         for seed in range(20):
             g, _ = generate(SynthConfig(**CRITERION_6, seed=seed),
                             NormalizationConfig(ALPHA))
-            print("criterion-6", seed, 0, digest(detect(g, cfg)), flush=True)
+            print("criterion-6", seed, 0, digests(detect(g, cfg)),
+                  flush=True)
     return 0
 
 

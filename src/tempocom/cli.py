@@ -68,9 +68,8 @@ def cmd_detect(args) -> int:
         g = _load_with_edges(args.input)
         cfg = RunConfig(alpha=args.alpha, scale_base=args.scale_base,
                         beta=args.beta, rows=args.rows, bands=args.bands,
-                        topk=args.topk, probes=args.probes, seed=args.seed,
-                        threads=args.threads, min_entries=args.min_entries,
-                        span_cap=args.span_cap)
+                        topk=args.topk, seed=args.seed, threads=args.threads,
+                        min_entries=args.min_entries, span_cap=args.span_cap)
     state = detect(g, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -84,9 +83,8 @@ def cmd_detect(args) -> int:
             "config": {
                 "alpha": cfg.alpha, "scale_base": cfg.scale_base,
                 "beta": cfg.beta, "rows": cfg.rows, "bands": cfg.bands,
-                "topk": cfg.topk, "probes": cfg.probes, "seed": cfg.seed,
-                "threads": cfg.threads, "min_entries": cfg.min_entries,
-                "span_cap": cfg.span_cap,
+                "topk": cfg.topk, "seed": cfg.seed, "threads": cfg.threads,
+                "min_entries": cfg.min_entries, "span_cap": cfg.span_cap,
             },
             "phi_star": state.phi_star,
             "timings": state.timings,
@@ -133,7 +131,7 @@ def cmd_prune(args) -> int:
                              "nonnegative conductance")
     bt = precompute(g, cfg.scale_base, threads=cfg.threads)
     if phi_star is None:
-        phi_star, _, _ = estimate_initial(g, bt, cfg)
+        phi_star, _ = estimate_initial(g, bt, cfg)
     # a zero incumbent is optimal already: detect's all-unpruned table
     verdicts = Verdicts(g.T)
     if phi_star != 0:
@@ -202,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--rows", type=int, default=4)
     d.add_argument("--bands", type=int, default=4)
     d.add_argument("--topk", type=int, default=10)
-    d.add_argument("--probes", type=int, default=5)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--threads", type=int, default=1)
     d.add_argument("--min-entries", type=int, default=2,

@@ -10,17 +10,15 @@ from typing import Callable
 import numpy as np
 
 from .graph import (Interval, NormalizationConfig, TemporalCommunity,
-                    TemporalGraph, aggregate, eta)
-from .pruning import (PROBED, UNPRUNED, BoundsTable, Pruner, Verdicts,
-                      build_groups, precompute)
+                    TemporalGraph, aggregate)
+from .pruning import (UNPRUNED, BoundsTable, Pruner, Verdicts, build_groups,
+                      precompute)
 from .refine import (NoConnectedPrefixError, WalkParams, fiedler_sweep,
-                     refine_bucket, refine_seedings, rwr_scores, seed_rankings,
-                     sweep)
+                     refine_seedings, rwr_scores, seed_rankings, sweep)
+# unused here: the benchmark's tracer (perfbench/tracing.py) rebinds it
+from .refine import refine_bucket  # noqa: F401
 from .spectral import EigResult
 from .tlsh import hash_all, scale_ladder
-
-ESTIMATE_ROWS = 2
-ESTIMATE_BANDS = 2
 
 
 @dataclass(frozen=True)
@@ -31,7 +29,6 @@ class RunConfig:
     rows: int = 4
     bands: int = 4
     topk: int = 10
-    probes: int = 5
     seed: int = 0
     threads: int = 1
     walk: WalkParams = WalkParams()
@@ -46,8 +43,8 @@ class RunConfig:
             raise ValueError("beta must be in (0, 1)")
         if self.rows < 1 or self.bands < 1:
             raise ValueError("rows and bands must be positive")
-        if self.seed < 0 or self.probes < 0:
-            raise ValueError("seed and probes must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if min(self.topk, self.threads, self.min_entries) < 1:
             raise ValueError("topk, threads and min entries must be positive")
         if not self.span_cap > 0:  # NaN included; inf admits every bucket
@@ -114,38 +111,11 @@ def fiedler_candidates(g: TemporalGraph, bt: BoundsTable,
 
 
 def estimate_initial(g: TemporalGraph, bt: BoundsTable, cfg: RunConfig,
-                     ) -> tuple[float, list[TemporalCommunity], list[Interval]]:
-    """Probe the precomputed blocks of smallest normalized spectral bound with
-    light hashing, and sweep the Fiedler vector of every block; fall back to
-    a static sweep when neither yields a community."""
-    norm = cfg.norm()
-    scored = []
-    for iv, res in bt.entries.items():
-        if res is None:
-            continue
-        scored.append((eta(iv, norm) * res.lambda2 / 2.0, iv.start, iv.end, iv))
-    scored.sort()
-    probes = [item[3] for item in scored[:cfg.probes]]
-
-    # each probe hashes its block widened by one scale on each side; blocks
-    # that widen to the same window at the same scale are hashed once
-    windows = dict.fromkeys(
-        (Interval(max(0, iv.start - scale), min(g.T - 1, iv.end + scale)), scale)
-        for iv in probes for scale in [max(1, iv.length)])
-    candidates: list[TemporalCommunity] = []
-    for window, scale in windows:
-        buckets = hash_all(g, [window], scales=[scale], r=ESTIMATE_ROWS,
-                           b=ESTIMATE_BANDS, seed=cfg.seed)
-        if not buckets:
-            continue
-        try:
-            result = refine_bucket(g, buckets[0], norm, cfg.walk)
-        except NoConnectedPrefixError:
-            continue
-        if math.isfinite(result.community.phi):
-            candidates.append(result.community)
-    candidates.extend(fiedler_candidates(g, bt, norm))
-
+                     ) -> tuple[float, list[TemporalCommunity]]:
+    """The initial incumbent and its candidates, best first: the Fiedler
+    sweep cut of every usable precomputed block, or a static sweep when no
+    block yields a community."""
+    candidates = fiedler_candidates(g, bt, cfg.norm())
     if not candidates:
         fb = _fallback_sweep(g, cfg)
         if fb is not None:
@@ -153,7 +123,7 @@ def estimate_initial(g: TemporalGraph, bt: BoundsTable, cfg: RunConfig,
     if not candidates:
         raise ValueError("no initial estimate could be formed (empty graph?)")
     candidates.sort(key=TemporalCommunity.sort_key)
-    return candidates[0].phi, candidates, probes
+    return candidates[0].phi, candidates
 
 
 def sweep_open_intervals(g: TemporalGraph, norm: NormalizationConfig,
@@ -187,7 +157,7 @@ def detect(g: TemporalGraph, cfg: RunConfig) -> DetectionState:
     timings["precompute"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    phi_star, initial, probes = estimate_initial(g, bt, cfg)
+    phi_star, initial = estimate_initial(g, bt, cfg)
     timings["estimate"] = time.perf_counter() - t0
 
     results: dict = {}
@@ -271,8 +241,6 @@ def detect(g: TemporalGraph, cfg: RunConfig) -> DetectionState:
         # refinement may have lowered the incumbent since the verdicts were
         # judged; pruning is antitone in it, so judge them again
         verdicts, _ = pruner.judge(phi_star)
-    at = [i for i in map(verdicts.index, probes) if verdicts.code[i] == UNPRUNED]
-    verdicts.code[at] = PROBED
     return DetectionState(phi_star=phi_star, communities=ranked,
                           verdicts=verdicts, config=cfg,
                           bucket_log=bucket_log, timings=timings)

@@ -45,13 +45,13 @@ class Interval(_IntervalBase):
 
 @dataclass(frozen=True)
 class NormalizationConfig:
-    """Power-law duration normalization with exponent alpha >= 0."""
+    """Power-law duration normalization with a finite exponent alpha >= 0."""
 
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        if not 0 <= self.alpha < math.inf:  # NaN included
+            raise ValueError("alpha must be finite and non-negative")
 
 
 def eta(iv: Interval, cfg: NormalizationConfig) -> float:

@@ -18,14 +18,15 @@ STATUS_GROUP_PRUNED = "group-pruned"
 STATUS_COMPOSITE_PRUNED = "composite-pruned"
 STATUS_EXACT_PRUNED = "exact-pruned"
 STATUS_UNPRUNED = "unpruned"
+# no verdict has it; the benchmark's tracer (perfbench/tracing.py) counts it
 STATUS_PROBED = "probed"
 
 PRUNED_STATUSES = frozenset({STATUS_GROUP_PRUNED, STATUS_COMPOSITE_PRUNED,
                              STATUS_EXACT_PRUNED})
 # a verdict's status is stored as its index in STATUSES
 STATUSES = (STATUS_UNPRUNED, STATUS_GROUP_PRUNED, STATUS_COMPOSITE_PRUNED,
-            STATUS_EXACT_PRUNED, STATUS_PROBED)
-UNPRUNED, GROUP_PRUNED, COMPOSITE_PRUNED, EXACT_PRUNED, PROBED = range(5)
+            STATUS_EXACT_PRUNED)
+UNPRUNED, GROUP_PRUNED, COMPOSITE_PRUNED, EXACT_PRUNED = range(4)
 
 
 @dataclass(frozen=True)
@@ -176,10 +177,14 @@ class BoundsTable:
         of the block's lambda2 times its min node-volume ratio against
         [starts[i], vol_ends[i]] (default block_ends[i]), over the nodes of
         positive volume there, in decomposition order; 0 with no such node.
-        Volumes add up in decomposition order: nonnegative terms, so no
-        volume cancels and none is below a block's. Each interval does the
-        float operations of a loop over its own blocks, in chunks of at most
-        CHUNK_CELLS (interval, node) cells."""
+        Without vol_ends this is a lower bound on lambda2 of the interval's
+        aggregated graph on its positive-volume support: a node of zero
+        interval volume has zero block volume too, so leaving it out of the
+        min is exact, not just conservative. Volumes add up in decomposition
+        order: nonnegative terms, so no volume cancels and none is below a
+        block's. Each interval does the float operations of a loop over its
+        own blocks, in chunks of at most CHUNK_CELLS (interval, node)
+        cells."""
         step = max(1, CHUNK_CELLS // max(self.g.n, 1))
         return np.concatenate([np.zeros(0)] + [
             self._lambda2_sums(starts[i:i + step], block_ends[i:i + step],
@@ -250,23 +255,6 @@ def composite_bounds(bt: BoundsTable, starts: np.ndarray, ends: np.ndarray,
     return _etas(bt.T, cfg)[ends - starts] * bt.lambda2_sums(starts, ends)
 
 
-def composite_lambda2_bound(bt: BoundsTable, iv: Interval) -> float:
-    """Lower bound on lambda2 of the interval's aggregated graph on its
-    positive-volume support, assembled from precomputed block eigenvalues
-    weighted by min node-volume ratios.
-
-    Nodes with zero interval volume also have zero block volume, so excluding
-    them from the min is exact, not just conservative.
-    """
-    return float(bt.lambda2_sums([iv.start], [iv.end])[0])
-
-
-def composite_bound(bt: BoundsTable, iv: Interval,
-                    cfg: NormalizationConfig) -> float:
-    """eta(iv) times the composite lambda2 bound."""
-    return float(composite_bounds(bt, [iv.start], [iv.end], cfg)[0])
-
-
 def build_groups(T: int, beta: float) -> list[PruningGroup]:
     """Geometric ladder of shared-prefix groups per start time.
 
@@ -297,13 +285,6 @@ def group_bounds(bt: BoundsTable, starts: np.ndarray, prefix_ends: np.ndarray,
     starts, group_ends = np.asarray(starts), np.asarray(group_ends)
     return _etas(bt.T, cfg)[group_ends - starts] * bt.lambda2_sums(
         starts, np.asarray(prefix_ends), group_ends)
-
-
-def group_bound(bt: BoundsTable, grp: PruningGroup,
-                cfg: NormalizationConfig) -> float:
-    """group_bounds of one group."""
-    return float(group_bounds(bt, [grp.start], [grp.prefix_end],
-                              [grp.group_end], cfg)[0])
 
 
 def _half(x):

@@ -17,8 +17,8 @@ from tempocom.cli import main as cli_main
 from tempocom.graph import Interval, NormalizationConfig, aggregate, conductance
 from tempocom.oracle import brute_force_best, brute_force_min_phi
 from tempocom.pruning import (PRUNED_STATUSES, BoundsTable, build_groups,
-                              composite_bound, composite_lambda2_bound,
-                              group_bound, precompute, prune_all)
+                              composite_bounds, group_bounds, precompute,
+                              prune_all)
 from tempocom.refine import WalkParams
 from tempocom.spectral import cheeger_lower_bound, lambda2, lambda2_dense
 from tempocom.synth import SynthConfig, generate
@@ -54,16 +54,18 @@ def test_criterion_1_bound_soundness(capsys):
                 iv = Interval(t, t2)
                 ag = aggregate(g, iv)
                 exact = lambda2_dense(ag)
-                if composite_lambda2_bound(bt, iv) > exact + 1e-9:
+                if bt.lambda2_sums([t], [t2])[0] > exact + 1e-9:
                     composite_viol += 1
                 phi, nodes = brute_force_min_phi(g, iv, NORM)
                 if nodes is not None and \
                         cheeger_lower_bound(ag, NORM) > phi + 1e-9:
                     cheeger_viol += 1
         for grp in build_groups(g.T, 0.5):
-            gb = group_bound(bt, grp, NORM)
+            gb = group_bounds(bt, [grp.start], [grp.prefix_end],
+                              [grp.group_end], NORM)[0]
             for iv in grp.members():
-                if gb > composite_bound(bt, iv, NORM) + 1e-9:
+                if gb > composite_bounds(bt, [iv.start], [iv.end],
+                                         NORM)[0] + 1e-9:
                     group_viol += 1
     elapsed = time.perf_counter() - t0
     ok = cheeger_viol == composite_viol == group_viol == 0 and elapsed < 120

@@ -92,11 +92,11 @@ class TestDetect:
         assert rc == 2
 
     @pytest.mark.parametrize("args", [
-        ["--beta", "1"], ["--alpha", "-1"], ["--scale-base", "1"],
-        ["--rows", "0"], ["--seed", "-1"], ["--topk", "-1"], ["--topk", "0"],
-        ["--probes", "-1"], ["--threads", "0"], ["--min-entries", "-5"],
-        ["--min-entries", "0"], ["--span-cap", "nan"], ["--span-cap", "-1"],
-        ["--span-cap", "0"]])
+        ["--beta", "1"], ["--alpha", "-1"], ["--alpha", "nan"],
+        ["--alpha", "inf"], ["--scale-base", "1"], ["--rows", "0"],
+        ["--seed", "-1"], ["--topk", "-1"], ["--topk", "0"], ["--threads", "0"],
+        ["--min-entries", "-5"], ["--min-entries", "0"], ["--span-cap", "nan"],
+        ["--span-cap", "-1"], ["--span-cap", "0"]])
     def test_invalid_parameter_exit_2(self, instance_path, tmp_path, capsys,
                                       args):
         rc = main(["detect", "--input", str(instance_path),
@@ -106,7 +106,7 @@ class TestDetect:
         assert not (tmp_path / "o").exists()
 
     def test_boundary_parameters_accepted(self, instance_path, tmp_path):
-        rc = main(["detect", "--input", str(instance_path), "--probes", "0",
+        rc = main(["detect", "--input", str(instance_path),
                    "--min-entries", "1", "--span-cap", "inf", "--topk", "1",
                    "--out", str(tmp_path / "o")])
         assert rc == 0
@@ -161,6 +161,14 @@ class TestPruneBoundsOracle:
     def test_prune_invalid_incumbent_exit_2(self, instance_path, bad):
         rc = main(["prune", "--input", str(instance_path), "--phi-star", bad])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["prune", "bounds", "oracle"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exit_2(self, instance_path, capsys, command,
+                                     alpha):
+        rc = main([command, "--input", str(instance_path), "--alpha", alpha])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("input error: alpha")
 
     def test_bounds_csv(self, instance_path, capsys):
         rc = main(["bounds", "--input", str(instance_path), "--alpha", "0.0"])

@@ -8,101 +8,62 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clique_graph, connected_random_instance
-from tempocom import driver
+from tempocom import driver, pruning
 from tempocom.driver import (RunConfig, detect, estimate_initial,
                              fiedler_candidates)
-from tempocom.graph import (Interval, NormalizationConfig, TemporalGraph,
-                            conductance)
+from tempocom.graph import (Interval, NormalizationConfig, TemporalCommunity,
+                            TemporalGraph, conductance)
 from tempocom.oracle import brute_force_best
-from tempocom.pruning import (PRUNED_STATUSES, STATUS_PROBED, STATUS_UNPRUNED,
-                              precompute)
+from tempocom.pruning import PRUNED_STATUSES, STATUS_UNPRUNED, precompute
 from tempocom.refine import rwr_scores
+from tempocom.spectral import EigenSolveError
 from tempocom.synth import SynthConfig, generate
 
 
 class TestEstimateInitial:
     def test_estimate_is_finite_and_achievable(self):
+        # the candidates are the blocks' Fiedler sweep cuts, best first, and
+        # the incumbent is the best of them
         rng = np.random.default_rng(103)
         g = connected_random_instance(rng, 12, 6, density=0.4)
         cfg = RunConfig(alpha=0.2)
         bt = precompute(g, cfg.scale_base)
-        phi_star, cands, probes = estimate_initial(g, bt, cfg)
-        assert math.isfinite(phi_star)
-        assert phi_star > 0
-        best = min(c.phi for c in cands)
-        assert phi_star == best
+        phi_star, cands = estimate_initial(g, bt, cfg)
+        fiedler = fiedler_candidates(g, bt, cfg.norm())
+        assert len(fiedler) == sum(res is not None for res in bt.entries.values())
+        assert cands == sorted(fiedler, key=TemporalCommunity.sort_key)
+        assert math.isfinite(phi_star) and phi_star > 0
+        assert phi_star == min(c.phi for c in cands) == cands[0].phi
         for c in cands:
             assert c.phi == pytest.approx(
                 conductance(g, c.nodes, c.interval, cfg.norm()), rel=1e-12)
-        # one Fiedler-sweep candidate per usable precomputed block
-        fiedler = fiedler_candidates(g, bt, cfg.norm())
-        assert len(fiedler) == sum(res is not None for res in bt.entries.values())
-        keys = {(c.nodes, c.interval) for c in cands}
-        for c in fiedler:
-            assert (c.nodes, c.interval) in keys
-            assert c.phi == pytest.approx(
-                conductance(g, c.nodes, c.interval, cfg.norm()), rel=1e-12)
 
-    def test_zero_probes_falls_back_to_static_sweep(self):
-        rng = np.random.default_rng(107)
-        g = connected_random_instance(rng, 10, 4, density=0.4)
-        cfg = RunConfig(alpha=0.0, probes=0)
-        bt = precompute(g, cfg.scale_base)
-        phi_star, cands, probes = estimate_initial(g, bt, cfg)
-        assert probes == []
-        assert math.isfinite(phi_star) and len(cands) >= 1
+    def test_failed_block_solves_fall_back_to_static_sweep(self, monkeypatch):
+        # with every eigensolve failing no block has a Fiedler vector, so
+        # the estimate is the static sweep, nothing is pruned, and the
+        # answer stays sound
+        def failing(g, iv):
+            raise EigenSolveError("solver failed")
 
-    def test_probes_hash_what_the_window_rule_hashed(self, monkeypatch):
-        # probes once hashed, at scale s = max(1, block length), every
-        # timestamp t with [t - s, t + s] meeting the block; probes whose
-        # timestamps and scale coincide are hashed once
-        rng = np.random.default_rng(113)
-        g = connected_random_instance(rng, 12, 16, density=0.4)
-        cfg = RunConfig(alpha=0.2)
-        bt = precompute(g, cfg.scale_base)
-        want = estimate_initial(g, bt, cfg)
-
-        def window(iv):
-            s = max(1, iv.length)
-            return (tuple(t for t in range(g.T)
-                          if iv.start <= t + s and t - s <= iv.end), s)
-
-        windows = iter(dict.fromkeys(map(window, want[2])))
-        sizes = []
-        hash_all = driver.hash_all
-
-        def window_rule_hash_all(g, intervals, scales, **kw):
-            ts, s = next(windows)
-            assert list(scales) == [s]
-            buckets = hash_all(g, [Interval(t, t) for t in ts], scales, **kw)
-            sizes.append(len(buckets))
-            return buckets
-
-        monkeypatch.setattr(driver, "hash_all", window_rule_hash_all)
-        got = estimate_initial(g, bt, cfg)
-        assert got == want
-        assert len(sizes) == len(set(map(window, want[2]))) and any(sizes)
-        assert next(windows, None) is None
-        assert any(0 < iv.start and iv.end < g.T - 1 for iv in want[2])
-
-    def test_probes_sharing_a_window_hash_it_once(self, monkeypatch):
-        # at T=64, blocks [0, 31] and [32, 63] both widen to [0, 63] at
-        # scale 32
-        rng = np.random.default_rng(127)
-        g = connected_random_instance(rng, 10, 64, density=0.3)
-        cfg = RunConfig(alpha=0.2, probes=200)
-        bt = precompute(g, cfg.scale_base)
         calls = []
-        hash_all = driver.hash_all
+        fallback = driver._fallback_sweep
 
-        def counting(g, intervals, scales, **kw):
-            calls.append((tuple(intervals), tuple(scales)))
-            return hash_all(g, intervals, scales, **kw)
+        def counting(g, cfg):
+            calls.append(g.T)
+            return fallback(g, cfg)
 
-        monkeypatch.setattr(driver, "hash_all", counting)
-        _, _, probes = estimate_initial(g, bt, cfg)
-        assert {Interval(0, 31), Interval(32, 63)} <= set(probes)
-        assert len(calls) == len(set(calls)) < len(probes)
+        rng = np.random.default_rng(109)
+        g = connected_random_instance(rng, 9, 5, density=0.4)
+        cfg = RunConfig(alpha=0.2)
+        monkeypatch.setattr(pruning, "interval_lambda2", failing)
+        monkeypatch.setattr(driver, "_fallback_sweep", counting)
+        state = detect(g, cfg)
+        assert calls == [g.T]
+        assert all(v.status == STATUS_UNPRUNED for v in state.verdicts)
+        top = state.communities[0]
+        assert state.phi_star == top.phi == pytest.approx(
+            conductance(g, top.nodes, top.interval, cfg.norm()), rel=1e-12)
+        assert state.phi_star >= brute_force_best(g, cfg.norm()).phi - 1e-9
 
     def test_estimate_quality_on_desk_instances(self):
         rng = np.random.default_rng(109)
@@ -114,7 +75,7 @@ class TestEstimateInitial:
             T = int(rng.integers(2, 7))
             g = connected_random_instance(rng, n, T, density=0.4)
             bt = precompute(g, cfg.scale_base)
-            phi_star, _, _ = estimate_initial(g, bt, cfg)
+            phi_star, _ = estimate_initial(g, bt, cfg)
             opt = brute_force_best(g, cfg.norm()).phi
             assert phi_star >= opt - 1e-12
             if phi_star <= 2.0 * opt + 1e-12:
@@ -165,7 +126,7 @@ class TestDetect:
                 if v.status in PRUNED_STATUSES:
                     assert v.bound_value > state.phi_star
                 else:
-                    assert v.status in (STATUS_UNPRUNED, STATUS_PROBED)
+                    assert v.status == STATUS_UNPRUNED
                     assert v.bound_value <= state.phi_star
 
     def test_refinement_guard_audit(self):
@@ -279,9 +240,8 @@ class TestDetect:
         assert [v.interval for v in verdicts] == [
             Interval(0, 0), Interval(0, 1), Interval(1, 1)]
         for v in verdicts:
-            assert v.status in (STATUS_UNPRUNED, STATUS_PROBED)
+            assert v.status == STATUS_UNPRUNED
             assert v.bound_value == 0.0 and type(v.bound_value) is float
-        assert any(v.status == STATUS_PROBED for v in verdicts)
 
 
 @st.composite

@@ -16,10 +16,22 @@ from tempocom.oracle import brute_force_min_phi
 from tempocom.pruning import (PRUNED_STATUSES, STATUS_COMPOSITE_PRUNED,
                               STATUS_EXACT_PRUNED, STATUS_GROUP_PRUNED,
                               STATUS_UNPRUNED, PruneVerdict, Pruner,
-                              PruningGroup, build_groups, composite_bound,
-                              composite_lambda2_bound, group_bound,
-                              precompute, prune_all)
+                              PruningGroup, build_groups, composite_bounds,
+                              group_bounds, precompute, prune_all)
 from tempocom.spectral import lambda2_dense
+
+
+def composite_lambda2_bound(bt, iv):
+    return float(bt.lambda2_sums([iv.start], [iv.end])[0])
+
+
+def composite_bound(bt, iv, cfg):
+    return float(composite_bounds(bt, [iv.start], [iv.end], cfg)[0])
+
+
+def group_bound(bt, grp, cfg):
+    return float(group_bounds(bt, [grp.start], [grp.prefix_end],
+                              [grp.group_end], cfg)[0])
 
 
 def identical_snapshot_graph(n: int, T: int, seed: int = 0) -> TemporalGraph:
